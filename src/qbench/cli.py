@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -81,11 +80,17 @@ def _load_config(path: str) -> dict:
     return document
 
 
+def _integer(value: Any, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}={value!r} is not an integer")
+    return value
+
+
 def _resolve_seed(flag_seed: int | None, config: Mapping[str, Any]) -> int:
     if flag_seed is not None:
         return flag_seed
     if "seed" in config:
-        return int(config["seed"])
+        return _integer(config["seed"], "seed")
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -150,12 +155,12 @@ def _state_source(kind: str, n_states: int, state_seed: int, config: Mapping[str
     raise ConfigError(f"unknown state source {kind!r}")
 
 
-def _build_sweep(args: argparse.Namespace) -> tuple[SweepConfig, Path, int]:
+def _build_sweep(args: argparse.Namespace) -> tuple[SweepConfig, Path]:
     config = _load_config(args.config) if args.config else {}
     known = {
         "noise", "steps", "grid", "state", "n_states", "state_seed", "states",
         "mode", "shots", "repeats", "ci_level", "seed", "t2_ratio", "thermal",
-        "durations", "out", "threads",
+        "durations", "out",
     }
     unknown = set(config) - known
     if unknown:
@@ -169,34 +174,34 @@ def _build_sweep(args: argparse.Namespace) -> tuple[SweepConfig, Path, int]:
     noise_axis = pick(args.noise, "noise", "readout")
     if noise_axis not in NOISE_AXES:
         raise ConfigError(f"noise axis {noise_axis!r} not one of {list(NOISE_AXES)}")
-    steps = int(pick(args.steps, "steps", 21))
-    mode = pick(args.mode, "mode", "exact")
-    shots = int(pick(args.shots, "shots", 100_000))
-    repeats = int(pick(args.repeats, "repeats", 30))
-    ci_level = float(pick(args.ci_level, "ci_level", 0.99))
-    t2_ratio = float(pick(args.t2_ratio, "t2_ratio", 2.0))
-    seed = _resolve_seed(args.seed, config)
-
-    thermal_section = config.get("thermal", {})
-    unknown_thermal = set(thermal_section) - {"sigma_fraction", "deterministic"}
-    if unknown_thermal:
-        raise ConfigError(f"unknown thermal keys: {sorted(unknown_thermal)}")
-    sigma_fraction = float(thermal_section.get("sigma_fraction", 0.1))
-    deterministic = bool(thermal_section.get("deterministic", True))
-
-    durations = _durations_from_config(config.get("durations", {}))
-
-    kind = pick(args.state, "state", "specific")
-    n_states = int(pick(args.n_states, "n_states", 20))
-    state_seed = int(config.get("state_seed", seed))
-    source = _state_source(kind, n_states, state_seed, config)
-
-    if "grid" in config:
-        grid = _grid_from_config(noise_axis, config["grid"], t2_ratio)
-    else:
-        grid = default_grid(noise_axis, steps, t2_ratio)
-
+    # every value below comes from the command line or the config document,
+    # so anything the constructors reject is a configuration error
     try:
+        steps = _integer(pick(args.steps, "steps", 21), "steps")
+        mode = pick(args.mode, "mode", "exact")
+        shots = _integer(pick(args.shots, "shots", 100_000), "shots")
+        repeats = _integer(pick(args.repeats, "repeats", 30), "repeats")
+        ci_level = float(pick(args.ci_level, "ci_level", 0.99))
+        t2_ratio = float(pick(args.t2_ratio, "t2_ratio", 2.0))
+        seed = _resolve_seed(args.seed, config)
+
+        thermal_section = config.get("thermal", {})
+        unknown_thermal = set(thermal_section) - {"sigma_fraction", "deterministic"}
+        if unknown_thermal:
+            raise ConfigError(f"unknown thermal keys: {sorted(unknown_thermal)}")
+
+        durations = _durations_from_config(config.get("durations", {}))
+
+        kind = pick(args.state, "state", "specific")
+        n_states = _integer(pick(args.n_states, "n_states", 20), "n_states")
+        state_seed = _integer(config.get("state_seed", seed), "state_seed")
+        source = _state_source(kind, n_states, state_seed, config)
+
+        if "grid" in config:
+            grid = _grid_from_config(noise_axis, config["grid"], t2_ratio)
+        else:
+            grid = default_grid(noise_axis, steps, t2_ratio)
+
         sweep_config = SweepConfig(
             grid=grid,
             state_source=source,
@@ -205,24 +210,20 @@ def _build_sweep(args: argparse.Namespace) -> tuple[SweepConfig, Path, int]:
             repeats=repeats,
             ci_level=ci_level,
             seed=seed,
-            sigma_fraction=sigma_fraction,
-            deterministic_thermal=deterministic,
+            sigma_fraction=float(thermal_section.get("sigma_fraction", 0.1)),
+            deterministic_thermal=thermal_section.get("deterministic", True),
             durations=durations,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    out = Path(pick(args.out, "out", DEFAULT_OUT))
-    threads = int(pick(args.threads, "threads", os.cpu_count() or 1))
-    if threads < 1:
-        raise ConfigError(f"threads={threads} must be positive")
-    return sweep_config, out, threads
+    return sweep_config, Path(pick(args.out, "out", DEFAULT_OUT))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    sweep_config, out, threads = _build_sweep(args)
+    sweep_config, out = _build_sweep(args)
     start = time.monotonic()
-    records = run_sweep(sweep_config, n_workers=threads)
+    records = run_sweep(sweep_config)
     csvio.write_records_csv(out, records)
     elapsed = time.monotonic() - start
     n_undefined = sum(1 for r in records if r.gamma_undefined)
@@ -274,20 +275,6 @@ def cmd_kappa_n(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 X_COLUMN_CANDIDATES = ("p_readout", "p_depol1", "t1_ns")
 
 
@@ -313,7 +300,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         series.setdefault(int(row["state_id"]), []).append((float(x_val), float(y_val)))
     svg = render_scatter(series, x_column, y_column)
     out = Path(args.out if args.out else "plot.svg")
-    _write_text_atomic(out, svg)
+    csvio.write_text_atomic(out, svg)
     n_points = sum(len(pts) for pts in series.values())
     print(f"wrote {out}: {len(series)} series, {n_points} points")
     return EXIT_OK
@@ -393,12 +380,7 @@ def _check_fixed_points(rng: np.random.Generator) -> tuple[bool, str]:
 
 def _check_config(path: str) -> tuple[bool, str]:
     try:
-        namespace = argparse.Namespace(
-            config=path, noise=None, steps=None, state=None, n_states=None,
-            mode=None, shots=None, repeats=None, ci_level=None, t2_ratio=None,
-            seed=None, threads=None, out=None,
-        )
-        sweep_config, _, _ = _build_sweep(namespace)
+        sweep_config, _ = _build_sweep(build_parser().parse_args(["sweep", f"--config={path}"]))
         for point in sweep_config.grid:
             noise_model_for_point(point, sweep_config)
     except (ConfigError, ValueError) as exc:
@@ -430,7 +412,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help=f"root seed (falls back to ${SEED_ENV_VAR}, then 0)")
-    common.add_argument("--threads", type=int, default=None, help="worker pool size (default: machine parallelism)")
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--config", default=None, help="JSON configuration document")
 

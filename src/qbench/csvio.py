@@ -9,10 +9,11 @@ observe a partial file.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .sweep import SweepRecord
 
@@ -117,18 +118,20 @@ def record_to_row(record: SweepRecord) -> list[str]:
 
 def write_records_csv(path: str | Path, records: Iterable[SweepRecord]) -> None:
     """Format every record before opening the output, then write atomically."""
-    rows = [record_to_row(r) for r in records]
-    write_rows_atomic(path, rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    writer.writerows(record_to_row(r) for r in records)
+    write_text_atomic(path, buffer.getvalue())
 
 
-def write_rows_atomic(path: str | Path, rows: Sequence[Sequence[str]]) -> None:
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temporary sibling, then rename it over path."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(COLUMNS)
-            writer.writerows(rows)
+            handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -24,26 +24,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import qcore
-from .circuits import (
-    CircuitPlan,
-    Cnot,
-    Measure,
-    Reset,
-    SingleU,
-    cnot_matrix,
-    u_matrix,
-)
+from .circuits import CircuitPlan, Cnot, Measure, Reset, SingleU, u_matrix
 from .qcore import COMPLEX
 
 ROW_SUM_ATOL = 1e-12
 T2_CLIP_ATOL = 1e-9  # relative slack on the T2 <= 2*T1 bound
-
-_PAULIS = (
-    np.eye(2, dtype=COMPLEX),
-    np.array([[0, 1], [1, 0]], dtype=COMPLEX),
-    np.array([[0, -1j], [1j, 0]], dtype=COMPLEX),
-    np.array([[1, 0], [0, -1]], dtype=COMPLEX),
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +109,8 @@ class ThermalRelaxation:
             )
         if not (0.0 <= self.sigma_fraction <= 1.0):
             raise ValueError(f"sigma_fraction={self.sigma_fraction} outside [0, 1]")
+        if not isinstance(self.deterministic, bool):
+            raise ValueError(f"deterministic={self.deterministic!r} is not a boolean")
 
 
 @dataclass(frozen=True)
@@ -182,7 +169,7 @@ def noise_model_from_config(config: Mapping) -> NoiseModel:
             t1_mean_ns=float(section["t1_ns"]),
             t2_mean_ns=float(section["t2_ns"]),
             sigma_fraction=float(section.get("sigma_fraction", 0.1)),
-            deterministic=bool(section.get("deterministic", True)),
+            deterministic=section.get("deterministic", True),
         )
 
     return NoiseModel(readout=readout, depolarizing=depolarizing, thermal=thermal)
@@ -205,9 +192,9 @@ def apply_readout(probs: np.ndarray, readout: ReadoutError) -> np.ndarray:
 def depolarize(rho: np.ndarray, p: float, qubits: Sequence[int]) -> np.ndarray:
     """rho -> (1-p) rho + p * (qubits replaced by the maximally mixed state).
 
-    Implemented as successive single-qubit Pauli twirls, which compose to
-    the partial-trace-and-retensor form; touching the whole register
-    reduces to (1-p) rho + p * I / 2^n.
+    Each listed qubit in turn is traced out and re-tensored as I/2 in its
+    own place; touching the whole register reduces to
+    (1-p) rho + p * I / 2^n.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"depolarizing strength {p} outside [0, 1]")
@@ -219,13 +206,16 @@ def depolarize(rho: np.ndarray, p: float, qubits: Sequence[int]) -> np.ndarray:
         raise ValueError(f"invalid qubit set {list(qubits)} for {n} qubits")
     if p == 0.0:
         return rho.copy()
+    dim = rho.shape[0]
     mixed = rho
     for q in qubits:
-        acc = np.zeros_like(mixed)
-        for pauli in _PAULIS:
-            u = qcore.embed_unitary(pauli, [q], n)
-            acc += u @ mixed @ u.conj().T
-        mixed = acc / 4.0
+        # axes (high qubits, qubit q, low qubits) of the row and column index
+        blocks = mixed.reshape(dim >> (q + 1), 2, 1 << q, dim >> (q + 1), 2, 1 << q)
+        half_trace = 0.5 * (blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1])
+        retensored = np.zeros_like(blocks)
+        retensored[:, 0, :, :, 0] = half_trace
+        retensored[:, 1, :, :, 1] = half_trace
+        mixed = retensored.reshape(dim, dim)
     return (1.0 - p) * rho + p * mixed
 
 
@@ -303,6 +293,7 @@ def evolve_density(
         raise ValueError("thermal sampling requires an rng; pass one or use deterministic mode")
     n = plan.n_qubits
     dim = 1 << n
+    idx = np.arange(dim)
     rho = np.zeros((dim, dim), dtype=COMPLEX)
     rho[0, 0] = 1.0
 
@@ -321,14 +312,17 @@ def evolve_density(
     for instr in plan.instructions:
         kind = instr.kind
         if isinstance(kind, SingleU):
-            u = qcore.embed_unitary(u_matrix(kind.theta, kind.phi, kind.lam), [kind.qubit], n)
+            # qubit q is bit q of the index: 2^(n-1-q) identities above it, 2^q below
+            u = u_matrix(kind.theta, kind.phi, kind.lam)
+            u = np.kron(np.kron(np.eye(dim >> (kind.qubit + 1)), u), np.eye(1 << kind.qubit))
             rho = qcore.apply_unitary(rho, u)
             if depol is not None and depol.p1 > 0.0:
                 rho = depolarize(rho, depol.p1, [kind.qubit])
             relax(kind.qubit, instr.duration_ns)
         elif isinstance(kind, Cnot):
-            u = qcore.embed_unitary(cnot_matrix(), [kind.control, kind.target], n)
-            rho = qcore.apply_unitary(rho, u)
+            # a basis permutation that is its own inverse: flip the target where the control is 1
+            perm = idx ^ (((idx >> kind.control) & 1) << kind.target)
+            rho = rho[np.ix_(perm, perm)]
             if depol is not None and depol.p2 > 0.0:
                 rho = depolarize(rho, depol.p2, [kind.control, kind.target])
             relax(kind.control, instr.duration_ns)

@@ -10,8 +10,6 @@ the arrays behind wrapper classes.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 COMPLEX = np.complex128
@@ -82,35 +80,6 @@ def validate_unitary(u: np.ndarray, atol: float = UNITARITY_ATOL) -> np.ndarray:
     if dev > atol:
         raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
     return u
-
-
-def embed_unitary(u: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Embed a 2^k x 2^k unitary into the full register.
-
-    ``targets[k]`` takes the role of bit ``k`` of ``u``'s own index, so
-    ``targets[0]`` is the least-significant label position of ``u``.
-    Example: a CNOT whose matrix has control on bit 0 embeds with
-    ``targets=[control, target]``.
-    """
-    u = np.asarray(u, dtype=COMPLEX)
-    k = len(targets)
-    if u.shape != (1 << k, 1 << k):
-        raise ValueError(f"unitary shape {u.shape} does not match {k} target qubits")
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate target qubits in {list(targets)}")
-    if any(q < 0 or q >= n_qubits for q in targets):
-        raise ValueError(f"target qubits {list(targets)} out of range for {n_qubits} qubits")
-    rest = [q for q in range(n_qubits) if q not in targets]
-    big = np.kron(np.eye(1 << len(rest), dtype=COMPLEX), u)
-    # big's bit b corresponds to system qubit order[b]; permute basis indices.
-    order = list(targets) + rest
-    src = np.arange(1 << n_qubits)
-    perm = np.zeros(1 << n_qubits, dtype=np.int64)
-    for b, q in enumerate(order):
-        perm |= ((src >> b) & 1) << q
-    out = np.zeros_like(big)
-    out[np.ix_(perm, perm)] = big
-    return out
 
 
 def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:

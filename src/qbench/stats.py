@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import FIELD_ORDER, GammaSet, ProjectionProbabilities, gamma
+from .metrics import FIELD_ORDER, PAIR_FIELDS, GammaSet, ProjectionProbabilities, gamma
 
 Z_95 = 1.96  # two-sided 95% normal quantile used by the Delta-P rule
 
@@ -171,14 +171,9 @@ def error_estimate(pp: ProjectionProbabilities, n_shots: int) -> ErrorEstimate:
     gamma threshold.
     """
     dps = {name: delta_p(getattr(pp, name), n_shots) for name in FIELD_ORDER}
-    pairs = {
-        "g01": ("p01", "p0", "p1"),
-        "g12": ("p12", "p1", "p2"),
-        "g20": ("p20", "p2", "p0"),
-    }
     dgs: dict[str, float] = {}
     gs: dict[str, float] = {}
-    for g_name, (pair_field, i_field, j_field) in pairs.items():
+    for g_name, pair_field, i_field, j_field in PAIR_FIELDS:
         p_pair = getattr(pp, pair_field)
         p_i, p_j = getattr(pp, i_field), getattr(pp, j_field)
         gs[g_name] = gamma(p_pair, p_i, p_j)

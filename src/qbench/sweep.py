@@ -8,14 +8,13 @@ per point) or shot mode (sampled counts, repeated, summarized with
 percentile-bootstrap intervals).
 
 Every (state, grid point) task derives its own SeedSequence substream
-from (seed, state_id, point_index), so results are independent of
-worker scheduling and each output row can be replayed.
+from (seed, state_id, point_index), so each output row can be replayed
+on its own.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -32,6 +31,7 @@ from .circuits import (
     reference_preparation,
 )
 from .metrics import (
+    PAIR_FIELDS,
     GammaSet,
     GammaUndefined,
     PeresResult,
@@ -167,6 +167,8 @@ class SweepConfig:
                 raise ValueError(f"repeats={self.repeats} must be at least 2")
         if not (0.0 < self.ci_level < 1.0):
             raise ValueError(f"ci_level={self.ci_level} outside (0, 1)")
+        if not isinstance(self.deterministic_thermal, bool):
+            raise ValueError(f"deterministic_thermal={self.deterministic_thermal!r} is not a boolean")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be non-negative")
 
@@ -259,11 +261,7 @@ def run_joint_test(
     pp = ProjectionProbabilities(**values)
     sorkin = sorkin_kappa(pp)
     gammas: dict[str, float | None] = {}
-    for name, (pair, lo, hi) in (
-        ("g01", ("p01", "p0", "p1")),
-        ("g12", ("p12", "p1", "p2")),
-        ("g20", ("p20", "p2", "p0")),
-    ):
+    for name, pair, lo, hi in PAIR_FIELDS:
         try:
             gammas[name] = gamma(getattr(pp, pair), getattr(pp, lo), getattr(pp, hi))
         except GammaUndefined:
@@ -397,25 +395,17 @@ def _run_task(
     )
 
 
-def run_sweep(config: SweepConfig, n_workers: int = 1) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run the full ensemble x grid sweep, ordered by (state_id, grid index).
 
-    Workers only change scheduling; every task owns a substream derived
-    from (seed, state_id, point_index), so the records are identical for
-    any n_workers.
+    Every record owns a substream derived from (seed, state_id,
+    point_index), so it does not depend on the records computed before it.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers={n_workers} must be positive")
-    preparations = config.state_source.preparations()
-    tasks = [
-        (state_id, prep, point_index, point)
-        for state_id, prep in enumerate(preparations)
+    return [
+        _run_task(config, state_id, prep, point_index, point)
+        for state_id, prep in enumerate(config.state_source.preparations())
         for point_index, point in enumerate(config.grid)
     ]
-    if n_workers == 1:
-        return [_run_task(config, *task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(lambda task: _run_task(config, *task), tasks))
 
 
 def f_crossing_threshold(
@@ -425,11 +415,20 @@ def f_crossing_threshold(
     hi: float = 1.0,
     coarse_steps: int = 50,
 ) -> float | None:
-    """Smallest parameter in (lo, hi] where F crosses from below 1 to >= 1.
+    """Smallest parameter in (lo, hi) where F crosses from below 1 to >= 1.
 
-    A coarse scan brackets the first upward crossing, bisection narrows
-    it below `resolution`, and the returned point p satisfies F(p) >= 1
-    with F(p - resolution) < 1.  Returns None when F never reaches 1.
+    A coarse scan of coarse_steps + 1 points, evenly spaced from
+    lo + resolution to hi - resolution with the last one moved to
+    hi - resolution/4, brackets the first upward crossing; bisection
+    narrows it below resolution/4, and the returned point p satisfies
+    F(p) >= 1 with F(p - resolution) < 1.
+
+    Returns None exactly when no two neighbouring scan points x < x' have
+    F(x) < 1 <= F(x').  That is the case when F is below 1 at every scan
+    point (so a first crossing above hi - resolution/4 is not reported,
+    nor an excursion to >= 1 that starts and ends between two scan
+    points), and when F is >= 1 from lo + resolution on and, once below
+    1, stays below 1 at the later scan points.
     """
     if not (0.0 < resolution < hi - lo):
         raise ValueError(f"resolution={resolution} must lie in (0, {hi - lo})")
@@ -437,6 +436,7 @@ def f_crossing_threshold(
     # identically (the fourth level is never populated), so gamma is undefined
     # there for every state and the crossing must be bracketed strictly inside
     xs = np.linspace(lo + resolution, hi - resolution, coarse_steps + 1)
+    xs[-1] = hi - resolution / 4.0
     values = [evaluate_f(float(x)) for x in xs]
     bracket = None
     for i in range(1, len(xs)):

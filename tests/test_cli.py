@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qbench import csvio
+from qbench import cli, csvio
 from qbench.cli import ConfigError, EXIT_CONFIG, EXIT_OK, SEED_ENV_VAR, _resolve_seed, main
 
 
@@ -29,6 +29,9 @@ def test_sweep_writes_csv(tmp_path, capsys):
 def test_sweep_exit_codes(tmp_path):
     with pytest.raises(SystemExit):  # argparse rejects unknown axis values
         run_cli("sweep", "--noise", "bogus")
+    with pytest.raises(SystemExit) as exc:  # sweeps run in one thread; there is no --threads
+        run_cli("sweep", "--threads", "2", "--steps", "2", "--out", str(tmp_path / "x.csv"))
+    assert exc.value.code == EXIT_CONFIG
     assert run_cli("sweep", "--config", str(tmp_path / "missing.json")) == EXIT_CONFIG
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -36,6 +39,36 @@ def test_sweep_exit_codes(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"nois": "readout"}))
     assert run_cli("sweep", "--config", str(unknown)) == EXIT_CONFIG
+
+
+def test_sweep_rejects_bad_values_as_configuration_errors(tmp_path):
+    out = tmp_path / "never.csv"
+    assert run_cli("sweep", "--steps", "1", "--out", str(out)) == EXIT_CONFIG
+    assert run_cli("sweep", "--state", "random", "--n-states", "-1", "--out", str(out)) == EXIT_CONFIG
+    path = tmp_path / "config.json"
+    for document in (
+        {"thermal": {"deterministic": "false"}},
+        {"seed": 1.7},
+        {"steps": 2.5},
+        {"state": "random", "n_states": 1, "state_seed": 1.5},
+        {"grid": ["a"]},
+        {"threads": 1},
+    ):
+        path.write_text(json.dumps({"steps": 2, **document}))
+        assert run_cli("sweep", "--config", str(path), "--out", str(out)) == EXIT_CONFIG, document
+    assert not out.exists()
+
+
+def test_validate_config_parses_like_sweep(tmp_path, monkeypatch):
+    # the config check must see exactly the namespace `sweep --config` gets
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"noise": "readout", "steps": 3}))
+    seen = []
+    build = cli._build_sweep
+    monkeypatch.setattr(cli, "_build_sweep", lambda args: seen.append(args) or build(args))
+    ok, detail = cli._check_config(str(path))
+    assert ok, detail
+    assert seen == [cli.build_parser().parse_args(["sweep", "--config", str(path)])]
 
 
 def test_sweep_config_document(tmp_path):
@@ -48,7 +81,6 @@ def test_sweep_config_document(tmp_path):
         "seed": 9,
         "out": str(out),
         "durations": {"single_u_ns": 50.0},
-        "threads": 1,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

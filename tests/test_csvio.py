@@ -86,6 +86,22 @@ def test_write_replaces_existing_file_without_leftovers(tmp_path):
     assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
 
 
+def test_write_text_atomic_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
+    # the CSV and the CLI's SVG output share this writer
+    path = tmp_path / "plot.svg"
+    csvio.write_text_atomic(path, "old\n")
+    assert path.read_bytes() == b"old\n"
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(csvio.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        csvio.write_text_atomic(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]  # the temporary sibling is removed
+
+
 def test_read_rejects_malformed_files(tmp_path):
     records = sample_records()
     good = tmp_path / "good.csv"

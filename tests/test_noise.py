@@ -7,7 +7,11 @@ import pytest
 
 import helpers
 from qbench.circuits import (
+    CircuitPlan,
+    Cnot,
+    GateInstruction,
     ProjectionParams,
+    SingleU,
     build_preparation,
     joint_plan,
     random_preparation,
@@ -254,6 +258,25 @@ def test_noise_model_from_config():
         noise_model_from_config({"readout": {}})
     with pytest.raises(ValueError, match="t1_ns"):
         noise_model_from_config({"thermal": {"t2_ns": 100.0}})
+
+
+def test_noise_model_from_config_rejects_non_boolean_deterministic():
+    # bool("false") is True, so a string must not be read as a flag
+    with pytest.raises(ValueError, match="boolean"):
+        noise_model_from_config({"thermal": {"t1_ns": 5e4, "t2_ns": 7e4, "deterministic": "false"}})
+    with pytest.raises(ValueError, match="boolean"):
+        ThermalRelaxation(5e4, 7e4, deterministic=0)
+
+
+def test_evolve_density_gates_act_on_the_named_qubits():
+    # qubit q is bit q of the basis index: X on qubit 1 of |00> gives |10>
+    # (index 2), and a CNOT controlled by qubit 1 then reaches |11> (index 3)
+    x1 = GateInstruction(SingleU(qubit=1, theta=math.pi, phi=0.0, lam=math.pi), 100.0)
+    for n, cnot, final in ((2, Cnot(control=1, target=0), 3), (3, Cnot(control=1, target=2), 6)):
+        after_x = evolve_density(CircuitPlan(n, (x1,)), NoiseModel.ideal())
+        assert np.isclose(after_x[2, 2].real, 1.0)
+        after_cnot = evolve_density(CircuitPlan(n, (x1, GateInstruction(cnot, 300.0))), NoiseModel.ideal())
+        assert np.isclose(after_cnot[final, final].real, 1.0)
 
 
 def test_evolve_density_ideal_matches_analytic_state():

@@ -1,4 +1,4 @@
-"""Dense linear-algebra core: validation, embedding, channels' substrate."""
+"""Dense linear-algebra core: validation and the channels' substrate."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from qbench.qcore import (
     apply_unitary,
     basis_probabilities,
     dm_from_statevector,
-    embed_unitary,
     n_qubits_of,
     random_density_matrix,
     reset_qubit,
@@ -75,45 +74,6 @@ def test_validate_unitary():
     assert validate_unitary(H) is not None
     with pytest.raises(ValueError, match="not unitary"):
         validate_unitary(2.0 * H)
-
-
-def test_embed_unitary_little_endian_placement():
-    # qubit 0 is the low index bit, so it occupies the right kron factor
-    assert np.allclose(embed_unitary(X, [0], 2), np.kron(np.eye(2), X))
-    assert np.allclose(embed_unitary(X, [1], 2), np.kron(X, np.eye(2)))
-
-
-def test_embed_unitary_two_qubit_ordering():
-    # targets[0] plays the role of bit 0 of the embedded matrix's index
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    assert np.allclose(embed_unitary(cz, [0, 1], 2), cz)
-    assert np.allclose(embed_unitary(cz, [1, 0], 2), cz)  # CZ is symmetric
-    cx = np.zeros((4, 4), dtype=complex)
-    cx[0, 0] = cx[2, 2] = cx[1, 3] = cx[3, 1] = 1.0  # control bit 0
-    swapped = embed_unitary(cx, [1, 0], 2)
-    # control moves to qubit 1: |10> (index 2) now flips qubit 0 -> |11>
-    e2 = np.zeros(4)
-    e2[2] = 1.0
-    out = swapped @ e2
-    assert np.isclose(abs(out[3]), 1.0)
-
-
-def test_embed_unitary_rejects_bad_targets():
-    with pytest.raises(ValueError, match="duplicate"):
-        embed_unitary(np.eye(4), [0, 0], 2)
-    with pytest.raises(ValueError, match="out of range"):
-        embed_unitary(X, [2], 2)
-    with pytest.raises(ValueError, match="does not match"):
-        embed_unitary(X, [0, 1], 2)
-
-
-def test_embed_unitary_preserves_unitarity():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, _ = np.linalg.qr(g)
-        big = embed_unitary(q, [int(rng.integers(0, 3))], 3)
-        assert np.allclose(big.conj().T @ big, np.eye(8))
 
 
 def test_apply_unitary_conjugates():

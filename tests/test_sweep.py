@@ -12,7 +12,8 @@ from qbench.circuits import (
     random_preparation,
     reference_preparation,
 )
-from qbench.metrics import GammaUndefined
+from qbench import metrics, stats, sweep
+from qbench.metrics import GammaUndefined, gammas_from_probabilities
 from qbench.noise import DepolarizingError, NoiseModel, ReadoutError, ThermalRelaxation
 from qbench.sweep import (
     NoisePoint,
@@ -188,7 +189,10 @@ def test_run_sweep_cardinality_and_order():
 def test_run_sweep_deterministic_and_worker_invariant():
     config = small_config()
     assert run_sweep(config) == run_sweep(config)
-    assert run_sweep(config, n_workers=4) == run_sweep(config, n_workers=1)
+    # a record depends only on its own (seed, state, point): a sweep of the
+    # first state alone, as any split of the work would run it, matches
+    first_state = small_config(state_source=StateSource.random(1, seed=5))
+    assert run_sweep(first_state) == run_sweep(config)[: len(config.grid)]
     reseeded = run_sweep(small_config(seed=18))
     # exact-mode metrics do not depend on the seed, but the replay seeds do
     assert [r.kappa for r in reseeded] == [r.kappa for r in run_sweep(config)]
@@ -212,9 +216,16 @@ def test_run_sweep_shot_mode_records_intervals():
     assert run_sweep(config) == records  # shot mode replays bit-identically
 
 
-def test_run_sweep_rejects_bad_worker_count():
-    with pytest.raises(ValueError, match="n_workers"):
-        run_sweep(small_config(), n_workers=0)
+def test_gamma_pairs_follow_the_metrics_table():
+    # one (gamma, pair, marginal, marginal) table serves every consumer
+    assert sweep.PAIR_FIELDS is metrics.PAIR_FIELDS
+    assert stats.PAIR_FIELDS is metrics.PAIR_FIELDS
+    model = NoiseModel(readout=ReadoutError.symmetric(0.1, 2))
+    result = run_joint_test(random_preparation(np.random.default_rng(8)), model)
+    expected = gammas_from_probabilities(result.probabilities)
+    assert {name: getattr(result, name) for name in expected} == expected
+    estimate = stats.error_estimate(result.probabilities, 1000)
+    assert list(estimate.delta_gamma) == [name for name, *_ in metrics.PAIR_FIELDS]
 
 
 def test_f_crossing_threshold_synthetic():
@@ -226,6 +237,11 @@ def test_f_crossing_threshold_synthetic():
     assert f_crossing_threshold(lambda p: 0.5, resolution=1e-3) is None
     # a curve that starts above 1 and falls has no upward crossing
     assert f_crossing_threshold(lambda p: 2.0 - p, resolution=1e-3) is None
+    # a crossing inside the last resolution-wide step before hi is still found
+    steep = lambda p: 1.0 + 100.0 * (p - 0.9995)
+    found = f_crossing_threshold(steep, resolution=1e-3)
+    assert found == pytest.approx(0.9995, abs=2.5e-4)
+    assert steep(found) >= 1.0
     with pytest.raises(ValueError, match="resolution"):
         f_crossing_threshold(ramp, resolution=0.0)
 
