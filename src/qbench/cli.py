@@ -220,8 +220,20 @@ def _build_sweep(args: argparse.Namespace) -> tuple[SweepConfig, Path]:
     return sweep_config, Path(pick(args.out, "out", DEFAULT_OUT))
 
 
+def _check_out_path(out: Path) -> None:
+    """Reject an output path the CSV writer could not create, before any work."""
+    parent = out.parent
+    if out.is_dir():
+        raise ConfigError(f"output path {out} is a directory")
+    if not parent.is_dir():
+        raise ConfigError(f"output path {out}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"output path {out}: directory {parent} is not writable")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     sweep_config, out = _build_sweep(args)
+    _check_out_path(out)
     start = time.monotonic()
     records = run_sweep(sweep_config)
     csvio.write_records_csv(out, records)

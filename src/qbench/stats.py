@@ -9,6 +9,13 @@ propagate to gamma through the first-order partial derivatives of
 and to F by maximizing |dF| over independent +-Delta gamma sign choices.
 Repeated whole-pipeline runs are summarized with a percentile bootstrap
 of the sample mean.
+
+Shot counts of one circuit are a single multinomial draw from its exact
+outcome distribution, the same law as n_shots independent categorical
+shots.  A shot-mode sweep record computes its seven distributions once
+(once per repeat when T1/T2 are sampled) and draws each repeat's counts
+from them.  Seeded shot-mode output is byte-identical across runs of
+one qbench version; its bytes may change between versions.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ class ShotCounts:
 
 
 def sample_counts(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> ShotCounts:
-    """Draw n_shots per-shot categorical outcomes from a distribution."""
+    """Outcome counts of n_shots shots: one multinomial draw from probs."""
     probs = np.asarray(probs, dtype=float).reshape(-1)
     if n_shots < 1:
         raise ValueError(f"n_shots={n_shots} must be positive")
@@ -49,9 +56,7 @@ def sample_counts(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> 
         raise ValueError("probs is not a probability distribution")
     clipped = np.clip(probs, 0.0, None)
     clipped = clipped / clipped.sum()
-    outcomes = rng.choice(probs.size, size=n_shots, p=clipped)
-    counts = np.bincount(outcomes, minlength=probs.size)
-    return ShotCounts(counts=counts, n_shots=n_shots)
+    return ShotCounts(counts=rng.multinomial(n_shots, clipped), n_shots=n_shots)
 
 
 def estimate_probs(counts: ShotCounts) -> np.ndarray:

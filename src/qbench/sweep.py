@@ -7,6 +7,12 @@ a grid of noise strengths, in exact mode (one deterministic evaluation
 per point) or shot mode (sampled counts, repeated, summarized with
 percentile-bootstrap intervals).
 
+A joint test is two steps: joint_distributions computes the seven exact
+outcome distributions and joint_result reduces seven P(00) values to the
+metrics.  Callers compute the distributions once and reuse them: a
+shot-mode record for all its repeats (unless T1/T2 are sampled, when each
+repeat evolves its own draw), readout_threshold for every F evaluation.
+
 Every (state, grid point) task derives its own SeedSequence substream
 from (seed, state_id, point_index), so each output row can be replayed
 on its own.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +47,14 @@ from .metrics import (
     peres_f,
     sorkin_kappa,
 )
-from .noise import DepolarizingError, NoiseModel, ReadoutError, ThermalRelaxation, simulate_noisy
+from .noise import (
+    DepolarizingError,
+    NoiseModel,
+    ReadoutError,
+    ThermalRelaxation,
+    apply_readout,
+    simulate_noisy,
+)
 from .stats import BootstrapCI, bootstrap_ci, estimate_probs, sample_counts
 
 NOISE_AXES = ("readout", "depolarizing", "thermal", "readout_depolarizing")
@@ -225,41 +238,35 @@ class JointTestResult:
         return self.peres is None
 
 
-def run_joint_test(
+def joint_distributions(
     prep: PreparationParams,
     model: NoiseModel,
-    mode: str = "exact",
-    shots: int = 0,
     rng: np.random.Generator | None = None,
     durations: GateDurations = DEFAULT_DURATIONS,
-) -> JointTestResult:
-    """Evaluate the seven projection circuits of one state under one model.
+) -> np.ndarray:
+    """Exact outcome distributions of the seven projection circuits.
 
-    Exact mode uses the simulator's outcome distribution directly; shot
-    mode draws `shots` counts per circuit from it and uses the estimated
-    P(00).  The seven circuits run in the fixed label order, so any rng
-    consumption is reproducible.
+    Row k is the distribution of circuit PROJECTION_ORDER[k], readout
+    confusion included.  The circuits run in that order, so a model with
+    sampled T1/T2 draws its relaxation times from rng reproducibly; any
+    other model draws nothing from rng.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "shots":
-        if shots < 1:
-            raise ValueError(f"shots={shots} must be positive in shot mode")
-        if rng is None:
-            raise ValueError("shot mode requires an rng")
     settings = projection_settings()
-    values: dict[str, float] = {}
-    for label in PROJECTION_ORDER:
-        plan = joint_plan(prep, settings[label], durations)
-        probs = simulate_noisy(plan, model, rng)
-        if mode == "shots":
-            counts = sample_counts(probs, shots, rng)
-            p00 = float(estimate_probs(counts)[0])
-        else:
-            p00 = float(probs[0])
-        values[label.value.lower()] = p00
-    pp = ProjectionProbabilities(**values)
-    sorkin = sorkin_kappa(pp)
+    return np.array(
+        [
+            simulate_noisy(joint_plan(prep, settings[label], durations), model, rng)
+            for label in PROJECTION_ORDER
+        ]
+    )
+
+
+def joint_result(p00: Sequence[float]) -> JointTestResult:
+    """Reduce seven P(00) values, in PROJECTION_ORDER, to kappa, the gammas and F."""
+    if len(p00) != len(PROJECTION_ORDER):
+        raise ValueError(f"expected {len(PROJECTION_ORDER)} P(00) values, got {len(p00)}")
+    pp = ProjectionProbabilities(
+        **{label.value.lower(): float(p) for label, p in zip(PROJECTION_ORDER, p00)}
+    )
     gammas: dict[str, float | None] = {}
     for name, pair, lo, hi in PAIR_FIELDS:
         try:
@@ -271,12 +278,44 @@ def run_joint_test(
         peres = peres_f(GammaSet(gammas["g01"], gammas["g12"], gammas["g20"]))
     return JointTestResult(
         probabilities=pp,
-        sorkin=sorkin,
+        sorkin=sorkin_kappa(pp),
         peres=peres,
         g01=gammas["g01"],
         g12=gammas["g12"],
         g20=gammas["g20"],
     )
+
+
+def _sampled_p00(distributions: np.ndarray, shots: int, rng: np.random.Generator) -> list[float]:
+    """Estimated P(00) of each circuit from one count draw per distribution."""
+    return [float(estimate_probs(sample_counts(probs, shots, rng))[0]) for probs in distributions]
+
+
+def run_joint_test(
+    prep: PreparationParams,
+    model: NoiseModel,
+    mode: str = "exact",
+    shots: int = 0,
+    rng: np.random.Generator | None = None,
+    durations: GateDurations = DEFAULT_DURATIONS,
+) -> JointTestResult:
+    """Evaluate the seven projection circuits of one state under one model.
+
+    Exact mode uses the simulator's outcome distributions directly; shot
+    mode then draws `shots` counts per circuit from them, in label order,
+    and uses the estimated P(00).
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "shots":
+        if shots < 1:
+            raise ValueError(f"shots={shots} must be positive in shot mode")
+        if rng is None:
+            raise ValueError("shot mode requires an rng")
+    distributions = joint_distributions(prep, model, rng, durations)
+    if mode == "shots":
+        return joint_result(_sampled_p00(distributions, shots, rng))
+    return joint_result(distributions[:, 0])
 
 
 @dataclass(frozen=True)
@@ -319,9 +358,10 @@ def _run_task(
 
     if config.mode == "exact":
         streams = base.spawn(1)
-        result = run_joint_test(
-            prep, model, "exact", rng=np.random.default_rng(streams[0]), durations=config.durations
+        distributions = joint_distributions(
+            prep, model, np.random.default_rng(streams[0]), config.durations
         )
+        result = joint_result(distributions[:, 0])
         return SweepRecord(
             state_id=state_id,
             params=prep,
@@ -347,15 +387,16 @@ def _run_task(
     fs: list[float] = []
     g_lists: dict[str, list[float]] = {"g01": [], "g12": [], "g20": []}
     undefined = False
+    # unless T1/T2 are sampled the distributions are the same in every repeat,
+    # and computing them draws nothing, so each repeat's counts still come
+    # from the start of its own stream
+    shared = None if model.needs_rng() else joint_distributions(prep, model, None, config.durations)
     for r in range(config.repeats):
-        result = run_joint_test(
-            prep,
-            model,
-            "shots",
-            shots=config.shots,
-            rng=np.random.default_rng(streams[r]),
-            durations=config.durations,
+        rng = np.random.default_rng(streams[r])
+        distributions = (
+            shared if shared is not None else joint_distributions(prep, model, rng, config.durations)
         )
+        result = joint_result(_sampled_p00(distributions, config.shots, rng))
         kappas.append(result.kappa)
         if result.gamma_undefined:
             undefined = True
@@ -462,13 +503,17 @@ def readout_threshold(
 ) -> float | None:
     """First symmetric-readout strength in (0.5, 1] where F reaches 1.
 
-    Exact-mode scan; any GammaUndefined inside the scan aborts with a
-    diagnostic since the crossing would be meaningless there.
+    Exact-mode scan.  Readout confusion acts after the circuit, so the
+    seven ideal distributions are computed once and every F evaluation
+    only mixes them through that point's readout.  Any GammaUndefined
+    inside the scan aborts with a diagnostic since the crossing would be
+    meaningless there.
     """
+    ideal = joint_distributions(prep, NoiseModel.ideal(), None, durations)
 
     def evaluate(p: float) -> float:
-        model = NoiseModel(readout=ReadoutError.symmetric(p, 2))
-        result = run_joint_test(prep, model, "exact", durations=durations)
+        readout = ReadoutError.symmetric(p, 2)
+        result = joint_result([apply_readout(probs, readout)[0] for probs in ideal])
         if result.peres is None:
             raise GammaUndefined(f"gamma undefined at readout p={p}; threshold scan aborted")
         return result.peres.f

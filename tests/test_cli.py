@@ -59,6 +59,21 @@ def test_sweep_rejects_bad_values_as_configuration_errors(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_checks_out_path_before_running(tmp_path, monkeypatch, capsys):
+    # a bad --out is a configuration error found before any record is computed
+    ran = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: ran.append(config) or [])
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for out in (tmp_path / "no_such_dir" / "x.csv", a_file / "x.csv", tmp_path):
+        assert run_cli("sweep", "--steps", "2", "--out", str(out)) == EXIT_CONFIG, out
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
+    assert ran == []
+    assert run_cli("sweep", "--steps", "2", "--out", str(tmp_path / "ok.csv")) == EXIT_OK
+    assert len(ran) == 1
+
+
 def test_validate_config_parses_like_sweep(tmp_path, monkeypatch):
     # the config check must see exactly the namespace `sweep --config` gets
     path = tmp_path / "ok.json"

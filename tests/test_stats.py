@@ -46,6 +46,25 @@ def test_sample_counts_reproducible_and_consistent():
     assert np.max(np.abs(estimate_probs(a) - probs)) < 0.02
 
 
+def test_sample_counts_follows_the_multinomial_law():
+    # each outcome's count is Binomial(n, p): over m draws the sample mean
+    # has standard error sqrt(v / m) with v = n p (1 - p), and the sample
+    # variance has standard error sqrt((mu4 - (m - 3) / (m - 1) v^2) / m)
+    # with the binomial fourth central moment mu4 = v (1 + 3 (n - 2) p (1 - p));
+    # both must land within 5 of their standard errors
+    probs = np.array([0.5, 0.3, 0.15, 0.05])
+    n, m = 1000, 2000
+    rng = np.random.default_rng(2718)
+    draws = np.array([sample_counts(probs, n, rng).counts for _ in range(m)])
+    assert np.all(draws.sum(axis=1) == n)
+    for k, p in enumerate(probs):
+        v = n * p * (1.0 - p)
+        mu4 = v * (1.0 + 3.0 * (n - 2) * p * (1.0 - p))
+        assert abs(draws[:, k].mean() - n * p) <= 5.0 * math.sqrt(v / m), k
+        var_se = math.sqrt((mu4 - (m - 3) / (m - 1) * v * v) / m)
+        assert abs(draws[:, k].var(ddof=1) - v) <= 5.0 * var_se, k
+
+
 def test_sample_counts_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="positive"):

@@ -15,10 +15,12 @@ from qbench.circuits import (
 from qbench import metrics, stats, sweep
 from qbench.metrics import GammaUndefined, gammas_from_probabilities
 from qbench.noise import DepolarizingError, NoiseModel, ReadoutError, ThermalRelaxation
+from qbench.stats import bootstrap_ci
 from qbench.sweep import (
     NoisePoint,
     StateSource,
     SweepConfig,
+    SweepRecord,
     default_grid,
     f_crossing_threshold,
     noise_model_for_point,
@@ -214,6 +216,112 @@ def test_run_sweep_shot_mode_records_intervals():
     assert record.kappa_ci_lo <= record.kappa <= record.kappa_ci_hi
     assert record.f_ci_lo <= record.f <= record.f_ci_hi
     assert run_sweep(config) == records  # shot mode replays bit-identically
+
+
+def record_from_joint_tests(config: SweepConfig, state_id: int, point_index: int) -> SweepRecord:
+    """A shot-mode record rebuilt from one full run_joint_test per repeat,
+    on the substreams the sweep documents: repeat r on streams[r], the
+    kappa and F bootstraps on streams[repeats] and streams[repeats + 1]."""
+    prep = config.state_source.preparations()[state_id]
+    point = config.grid[point_index]
+    model = noise_model_for_point(point, config)
+    base = np.random.SeedSequence([config.seed, state_id, point_index])
+    seed = int(base.generate_state(1, dtype=np.uint32)[0])
+    streams = base.spawn(config.repeats + 2)
+    results = [
+        run_joint_test(
+            prep, model, "shots", shots=config.shots,
+            rng=np.random.default_rng(streams[r]), durations=config.durations,
+        )
+        for r in range(config.repeats)
+    ]
+    assert not any(r.gamma_undefined for r in results)
+    kappa_ci = bootstrap_ci(
+        np.array([r.kappa for r in results]), config.ci_level,
+        rng=np.random.default_rng(streams[config.repeats]),
+    )
+    f_ci = bootstrap_ci(
+        np.array([r.f for r in results]), config.ci_level,
+        rng=np.random.default_rng(streams[config.repeats + 1]),
+    )
+    return SweepRecord(
+        state_id=state_id, params=prep, point=point, mode="shots",
+        shots=config.shots, repeats=config.repeats,
+        kappa=kappa_ci.mean, kappa_ci_lo=kappa_ci.lo, kappa_ci_hi=kappa_ci.hi,
+        f=f_ci.mean, f_ci_lo=f_ci.lo, f_ci_hi=f_ci.hi,
+        g01=float(np.mean([r.g01 for r in results])),
+        g12=float(np.mean([r.g12 for r in results])),
+        g20=float(np.mean([r.g20 for r in results])),
+        gamma_undefined=False, seed=seed,
+    )
+
+
+def shot_config(grid, deterministic_thermal: bool = True) -> SweepConfig:
+    return SweepConfig(
+        grid=grid,
+        state_source=StateSource.random(2, seed=5),
+        mode="shots",
+        shots=5000,
+        repeats=4,
+        seed=23,
+        deterministic_thermal=deterministic_thermal,
+    )
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        default_grid("thermal", steps=4),
+        (NoisePoint("readout", p_readout=0.05), NoisePoint("readout", p_readout=0.2)),
+    ],
+    ids=["thermal", "readout"],
+)
+def test_shot_record_equals_per_repeat_joint_tests(grid):
+    # the sweep computes a record's distributions once; the record must be
+    # the one that seven full circuits per repeat would give
+    config = shot_config(grid)
+    records = run_sweep(config)
+    for state_id, point_index in ((0, len(grid) - 1), (1, 1)):
+        got = records[state_id * len(grid) + point_index]
+        assert got == record_from_joint_tests(config, state_id, point_index)
+
+
+def test_sampled_thermal_shot_record_replays_and_differs_from_deterministic():
+    point = NoisePoint("thermal", t1_ns=2e3, t2_ns=4e3)
+    sampled = shot_config((point,), deterministic_thermal=False)
+    records = run_sweep(sampled)
+    assert run_sweep(sampled) == records  # replays bit-identically from its seed
+    # each repeat evolves its own T1/T2 draw from its own stream
+    assert records[1] == record_from_joint_tests(sampled, 1, 0)
+    fixed = run_sweep(shot_config((point,), deterministic_thermal=True))
+    for a, b in zip(records, fixed):
+        assert a.seed == b.seed  # same substreams
+        assert a.kappa != b.kappa and a.f != b.f
+
+
+def test_readout_threshold_equals_full_pipeline_scan():
+    # reusing the ideal distributions must not move a single bit of F
+    def full_scan(prep):
+        return f_crossing_threshold(
+            lambda p: run_joint_test(prep, NoiseModel(readout=ReadoutError.symmetric(p, 2))).f
+        )
+
+    rng = np.random.default_rng(1004)
+    states = [reference_preparation()] + [helpers.floored_preparation(rng) for _ in range(3)]
+    found = [readout_threshold(prep) for prep in states]
+    assert found == [full_scan(prep) for prep in states]
+    assert found[0] is None and any(t is not None for t in found[1:])
+
+
+def test_joint_result_reduces_the_distributions():
+    prep = random_preparation(np.random.default_rng(8))
+    model = NoiseModel(depolarizing=DepolarizingError(p1=0.02, p2=0.05))
+    distributions = sweep.joint_distributions(prep, model)
+    assert distributions.shape == (7, 4)
+    assert np.allclose(distributions.sum(axis=1), 1.0)
+    assert sweep.joint_result(distributions[:, 0]) == run_joint_test(prep, model)
+    with pytest.raises(ValueError, match="7 P"):
+        sweep.joint_result(distributions[:6, 0])
 
 
 def test_gamma_pairs_follow_the_metrics_table():
