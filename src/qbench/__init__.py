@@ -8,66 +8,4 @@ defect kappa, which are swept against readout, depolarizing and thermal
 noise strengths.
 """
 
-from .circuits import (
-    CircuitPlan,
-    GateDurations,
-    PreparationParams,
-    ProjectionLabel,
-    ProjectionParams,
-    analytic_amplitudes,
-    build_preparation,
-    build_projection,
-    joint_plan,
-    projection_settings,
-    random_preparation,
-    reference_preparation,
-)
-from .metrics import (
-    GammaSet,
-    GammaUndefined,
-    PeresResult,
-    ProjectionProbabilities,
-    SorkinResult,
-    gamma,
-    kappa_n,
-    kappa_n_defect,
-    peres_f,
-    sorkin_kappa,
-)
-from .noise import (
-    DepolarizingError,
-    NoiseModel,
-    ReadoutError,
-    ThermalRelaxation,
-    apply_readout,
-    depolarize,
-    evolve_density,
-    sample_relaxation_times,
-    simulate_noisy,
-    thermal_relax,
-)
-from .stats import (
-    BootstrapCI,
-    ErrorEstimate,
-    ShotCounts,
-    bootstrap_ci,
-    delta_p,
-    error_estimate,
-    estimate_probs,
-    propagate_f_error,
-    propagate_gamma_error,
-    sample_counts,
-)
-from .sweep import (
-    JointTestResult,
-    NoisePoint,
-    StateSource,
-    SweepConfig,
-    SweepRecord,
-    default_grid,
-    readout_threshold,
-    run_joint_test,
-    run_sweep,
-)
-
 __version__ = "0.1.0"

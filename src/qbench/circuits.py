@@ -128,10 +128,6 @@ class CircuitPlan:
             elif seen_measure:
                 raise ValueError("non-measure instruction after a measure")
 
-    def to_text(self) -> str:
-        """Line-oriented dump, one `GATE qubits angles duration_ns` per line."""
-        return "\n".join(_instruction_line(i) for i in self.instructions)
-
 
 def instruction_qubits(kind: GateKind) -> tuple[int, ...]:
     if isinstance(kind, SingleU):
@@ -141,19 +137,6 @@ def instruction_qubits(kind: GateKind) -> tuple[int, ...]:
     if isinstance(kind, (Reset, Measure)):
         return (kind.qubit,)
     raise ValueError(f"unknown instruction kind {kind!r}")
-
-
-def _instruction_line(instr: GateInstruction) -> str:
-    kind = instr.kind
-    dur = f"{instr.duration_ns:.12g}"
-    if isinstance(kind, SingleU):
-        angles = ",".join(f"{a:.12g}" for a in (kind.theta, kind.phi, kind.lam))
-        return f"U {kind.qubit} {angles} {dur}"
-    if isinstance(kind, Cnot):
-        return f"CNOT {kind.control},{kind.target} - {dur}"
-    if isinstance(kind, Reset):
-        return f"RESET {kind.qubit} - {dur}"
-    return f"MEASURE {kind.qubit} - {dur}"
 
 
 def u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -168,16 +151,6 @@ def u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
         ],
         dtype=COMPLEX,
     )
-
-
-def cnot_matrix() -> np.ndarray:
-    """CNOT with control on bit 0 of the matrix index and target on bit 1."""
-    m = np.zeros((4, 4), dtype=COMPLEX)
-    m[0, 0] = 1.0
-    m[2, 2] = 1.0
-    m[1, 3] = 1.0
-    m[3, 1] = 1.0
-    return m
 
 
 def _wrap_phase(phi: float, name: str) -> float:
@@ -252,15 +225,8 @@ class ProjectionLabel(Enum):
 
 
 #: evaluation order used everywhere a deterministic sequence matters
-PROJECTION_ORDER = (
-    ProjectionLabel.P012,
-    ProjectionLabel.P01,
-    ProjectionLabel.P12,
-    ProjectionLabel.P20,
-    ProjectionLabel.P0,
-    ProjectionLabel.P1,
-    ProjectionLabel.P2,
-)
+#: (an Enum iterates in definition order)
+PROJECTION_ORDER = tuple(ProjectionLabel)
 
 
 def projection_settings() -> dict[ProjectionLabel, ProjectionParams]:
@@ -392,8 +358,3 @@ def projection_state(params: ProjectionParams) -> np.ndarray:
     """Closed-form projector-state amplitudes (phase-free preparation)."""
     p = params.canonical()
     return analytic_amplitudes(PreparationParams(p.t1, p.t2, 0.0, 0.0))
-
-
-def level_amplitudes(params: PreparationParams) -> np.ndarray:
-    """The three working-level amplitudes (a0, a1, a2) of the prepared state."""
-    return analytic_amplitudes(params)[list(LEVEL_INDICES)]

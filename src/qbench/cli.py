@@ -88,24 +88,31 @@ def _integer(value: Any, key: str) -> int:
 
 def _resolve_seed(flag_seed: int | None, config: Mapping[str, Any]) -> int:
     if flag_seed is not None:
-        return flag_seed
-    if "seed" in config:
-        return _integer(config["seed"], "seed")
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        source, seed = "--seed", flag_seed
+    elif "seed" in config:
+        source, seed = "seed", _integer(config["seed"], "seed")
+    else:
+        source, env = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    return 0
+    if seed < 0:
+        raise ConfigError(f"{source}={seed} must be non-negative")
+    return seed
 
 
-def _durations_from_config(section: Mapping[str, Any]) -> GateDurations:
-    known = {"single_u_ns", "cnot_ns", "reset_ns", "measure_ns"}
+def _section(config: Mapping[str, Any], key: str, known: set[str]) -> Mapping[str, Any]:
+    """A nested config object, checked for its type and its keys."""
+    section = config.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} section {section!r} must be an object")
     unknown = set(section) - known
     if unknown:
-        raise ConfigError(f"unknown durations keys: {sorted(unknown)}")
-    return GateDurations(**{key: float(value) for key, value in section.items()})
+        raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+    return section
 
 
 def _grid_from_config(noise_axis: str, values: list, t2_ratio: float) -> tuple[NoisePoint, ...]:
@@ -185,12 +192,9 @@ def _build_sweep(args: argparse.Namespace) -> tuple[SweepConfig, Path]:
         t2_ratio = float(pick(args.t2_ratio, "t2_ratio", 2.0))
         seed = _resolve_seed(args.seed, config)
 
-        thermal_section = config.get("thermal", {})
-        unknown_thermal = set(thermal_section) - {"sigma_fraction", "deterministic"}
-        if unknown_thermal:
-            raise ConfigError(f"unknown thermal keys: {sorted(unknown_thermal)}")
-
-        durations = _durations_from_config(config.get("durations", {}))
+        thermal_section = _section(config, "thermal", {"sigma_fraction", "deterministic"})
+        durations_section = _section(config, "durations", {"single_u_ns", "cnot_ns", "reset_ns", "measure_ns"})
+        durations = GateDurations(**{key: float(value) for key, value in durations_section.items()})
 
         kind = pick(args.state, "state", "specific")
         n_states = _integer(pick(args.n_states, "n_states", 20), "n_states")
@@ -214,10 +218,16 @@ def _build_sweep(args: argparse.Namespace) -> tuple[SweepConfig, Path]:
             deterministic_thermal=thermal_section.get("deterministic", True),
             durations=durations,
         )
+        # a grid value out of its channel's range fails here, before any work
+        for point in sweep_config.grid:
+            noise_model_for_point(point, sweep_config)
+        out = pick(args.out, "out", DEFAULT_OUT)
+        if not isinstance(out, str):
+            raise ConfigError(f"out={out!r} is not a path")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    return sweep_config, Path(pick(args.out, "out", DEFAULT_OUT))
+    return sweep_config, Path(out)
 
 
 def _check_out_path(out: Path) -> None:
@@ -269,21 +279,8 @@ def cmd_kappa_n(args: argparse.Namespace) -> int:
     if not tokens:
         raise ConfigError("no amplitudes given; pass 're,im' tokens or --file")
     x = [_parse_amplitude(t) for t in tokens]
-    n = len(x)
-
-    programming = kappa_n(x)
-    # Independent route: accumulate the identity's two sides term by term.
-    lhs = abs(sum(x)) ** 2
-    pair_sum = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_sum += abs(x[i] + x[j]) ** 2
-    single_sum = sum(abs(v) ** 2 for v in x)
-    rhs = pair_sum - (n - 2) * single_sum
-
-    print(f"n = {n}")
-    print(f"kappa_n programming form: {programming:.12g}")
-    print(f"identity LHS - RHS:       {lhs - rhs:.12g}")
+    print(f"n = {len(x)}")
+    print(f"kappa_n programming form: {kappa_n(x):.12g}")
     return EXIT_OK
 
 
@@ -393,9 +390,7 @@ def _check_fixed_points(rng: np.random.Generator) -> tuple[bool, str]:
 def _check_config(path: str) -> tuple[bool, str]:
     try:
         sweep_config, _ = _build_sweep(build_parser().parse_args(["sweep", f"--config={path}"]))
-        for point in sweep_config.grid:
-            noise_model_for_point(point, sweep_config)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         return False, str(exc)
     return True, f"{path}: {len(sweep_config.grid)} grid points instantiate cleanly"
 

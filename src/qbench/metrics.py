@@ -21,8 +21,8 @@ of a symmetric readout sweep sit at zero defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class ProjectionProbabilities:
             _check_probability(getattr(self, name), name)
 
 
-FIELD_ORDER = ("p012", "p01", "p12", "p20", "p0", "p1", "p2")
+FIELD_ORDER = tuple(f.name for f in fields(ProjectionProbabilities))
 
 #: (pair name, pair-probability field, first marginal field, second marginal field)
 PAIR_FIELDS = (
@@ -155,29 +155,3 @@ def kappa_n(amplitudes: Sequence[complex]) -> float:
         pairs += float((np.abs(x[i] + x[i + 1 :]) ** 2).sum())
     singles = float((np.abs(x) ** 2).sum())
     return total - pairs + (n - 2) * singles
-
-
-def kappa_n_defect(probabilities: Mapping[tuple[int, ...], float], n: int) -> float:
-    """Measured n-path defect from subset-projection probabilities:
-
-        n * p_full - 2 sum_{i<j} p_pair(i,j) + (n - 2) sum_i p_single(i)
-
-    ``probabilities`` maps sorted index tuples to measured values: the full
-    tuple (0,...,n-1), every pair (i,j), and every singleton (i,).
-    """
-    if n < 1:
-        raise ValueError(f"n={n} must be at least 1")
-    full_key = tuple(range(n))
-
-    def lookup(key: tuple[int, ...]) -> float:
-        if key not in probabilities:
-            raise ValueError(f"missing projection probability for subset {key}")
-        return _check_probability(probabilities[key], f"p{key}")
-
-    total = n * lookup(full_key)
-    pairs = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs += lookup((i, j))
-    singles = sum(lookup((i,)) for i in range(n))
-    return total - 2.0 * pairs + (n - 2) * singles

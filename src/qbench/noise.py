@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,52 +127,6 @@ class NoiseModel:
 
     def needs_rng(self) -> bool:
         return self.thermal is not None and not self.thermal.deterministic
-
-
-def noise_model_from_config(config: Mapping) -> NoiseModel:
-    """Build a NoiseModel from a nested key/value document.
-
-    Recognized sections: readout {p | matrix | matrices}, depolarizing
-    {p1, p2}, thermal {t1_ns, t2_ns, sigma_fraction, deterministic}.
-    """
-    known = {"readout", "depolarizing", "thermal"}
-    unknown = set(config) - known
-    if unknown:
-        raise ValueError(f"unknown noise config keys: {sorted(unknown)}")
-
-    readout = None
-    if "readout" in config:
-        section = config["readout"]
-        if "p" in section:
-            readout = ReadoutError.symmetric(float(section["p"]), int(section.get("n_qubits", 2)))
-        elif "matrix" in section:
-            m = np.asarray(section["matrix"], dtype=float)
-            readout = ReadoutError(matrices=(m, m.copy()))
-        elif "matrices" in section:
-            readout = ReadoutError(matrices=tuple(np.asarray(m, dtype=float) for m in section["matrices"]))
-        else:
-            raise ValueError("readout section needs 'p', 'matrix' or 'matrices'")
-
-    depolarizing = None
-    if "depolarizing" in config:
-        section = config["depolarizing"]
-        depolarizing = DepolarizingError(
-            p1=float(section.get("p1", 0.0)), p2=float(section.get("p2", 0.0))
-        )
-
-    thermal = None
-    if "thermal" in config:
-        section = config["thermal"]
-        if "t1_ns" not in section or "t2_ns" not in section:
-            raise ValueError("thermal section needs 't1_ns' and 't2_ns'")
-        thermal = ThermalRelaxation(
-            t1_mean_ns=float(section["t1_ns"]),
-            t2_mean_ns=float(section["t2_ns"]),
-            sigma_fraction=float(section.get("sigma_fraction", 0.1)),
-            deterministic=section.get("deterministic", True),
-        )
-
-    return NoiseModel(readout=readout, depolarizing=depolarizing, thermal=thermal)
 
 
 def apply_readout(probs: np.ndarray, readout: ReadoutError) -> np.ndarray:

@@ -21,7 +21,6 @@ DM_NORM_ATOL = 1e-8       # norm deviation accepted when forming a density matri
 TRACE_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10  # roundoff-sized negative eigenvalues are tolerated
-UNITARITY_ATOL = 1e-10
 PROB_SUM_ATOL = 1e-9
 
 
@@ -70,16 +69,6 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     if min_eig < EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return rho
-
-
-def validate_unitary(u: np.ndarray, atol: float = UNITARITY_ATOL) -> np.ndarray:
-    u = np.asarray(u, dtype=COMPLEX)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {u.shape}")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > atol:
-        raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
-    return u
 
 
 def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:

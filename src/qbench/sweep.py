@@ -341,10 +341,6 @@ class SweepRecord:
     seed: int
 
 
-def _record_seed(seed_seq: np.random.SeedSequence) -> int:
-    return int(seed_seq.generate_state(1, dtype=np.uint32)[0])
-
-
 def _run_task(
     config: SweepConfig,
     state_id: int,
@@ -354,85 +350,60 @@ def _run_task(
 ) -> SweepRecord:
     model = noise_model_for_point(point, config)
     base = np.random.SeedSequence([config.seed, state_id, point_index])
-    rec_seed = _record_seed(base)
+    kappa_ci: BootstrapCI | None = None
+    f_ci: BootstrapCI | None = None
 
     if config.mode == "exact":
-        streams = base.spawn(1)
-        distributions = joint_distributions(
-            prep, model, np.random.default_rng(streams[0]), config.durations
+        rng = np.random.default_rng(base.spawn(1)[0])
+        result = joint_result(joint_distributions(prep, model, rng, config.durations)[:, 0])
+        kappa, f = result.kappa, result.f
+        gammas = {name: getattr(result, name) for name, *_ in PAIR_FIELDS}
+    else:
+        streams = base.spawn(config.repeats + 2)
+        # unless T1/T2 are sampled the distributions are the same in every repeat,
+        # and computing them draws nothing, so each repeat's counts still come
+        # from the start of its own stream
+        shared = None if model.needs_rng() else joint_distributions(prep, model, None, config.durations)
+        results = []
+        for r in range(config.repeats):
+            rng = np.random.default_rng(streams[r])
+            distributions = (
+                shared if shared is not None else joint_distributions(prep, model, rng, config.durations)
+            )
+            results.append(joint_result(_sampled_p00(distributions, config.shots, rng)))
+        kappa_ci = bootstrap_ci(
+            np.array([res.kappa for res in results]),
+            config.ci_level,
+            rng=np.random.default_rng(streams[config.repeats]),
         )
-        result = joint_result(distributions[:, 0])
-        return SweepRecord(
-            state_id=state_id,
-            params=prep,
-            point=point,
-            mode="exact",
-            shots=None,
-            repeats=None,
-            kappa=result.kappa,
-            kappa_ci_lo=None,
-            kappa_ci_hi=None,
-            f=result.f,
-            f_ci_lo=None,
-            f_ci_hi=None,
-            g01=result.g01,
-            g12=result.g12,
-            g20=result.g20,
-            gamma_undefined=result.gamma_undefined,
-            seed=rec_seed,
-        )
+        kappa, f = kappa_ci.mean, None
+        gammas = {name: None for name, *_ in PAIR_FIELDS}
+        if not any(res.gamma_undefined for res in results):
+            f_ci = bootstrap_ci(
+                np.array([res.f for res in results]),
+                config.ci_level,
+                rng=np.random.default_rng(streams[config.repeats + 1]),
+            )
+            f = f_ci.mean
+            gammas = {name: float(np.mean([getattr(res, name) for res in results])) for name in gammas}
 
-    streams = base.spawn(config.repeats + 2)
-    kappas: list[float] = []
-    fs: list[float] = []
-    g_lists: dict[str, list[float]] = {"g01": [], "g12": [], "g20": []}
-    undefined = False
-    # unless T1/T2 are sampled the distributions are the same in every repeat,
-    # and computing them draws nothing, so each repeat's counts still come
-    # from the start of its own stream
-    shared = None if model.needs_rng() else joint_distributions(prep, model, None, config.durations)
-    for r in range(config.repeats):
-        rng = np.random.default_rng(streams[r])
-        distributions = (
-            shared if shared is not None else joint_distributions(prep, model, rng, config.durations)
-        )
-        result = joint_result(_sampled_p00(distributions, config.shots, rng))
-        kappas.append(result.kappa)
-        if result.gamma_undefined:
-            undefined = True
-        else:
-            fs.append(result.f)
-            for name in g_lists:
-                g_lists[name].append(getattr(result, name))
-    kappa_ci = bootstrap_ci(
-        np.array(kappas), config.ci_level, rng=np.random.default_rng(streams[config.repeats])
-    )
-    f_ci: BootstrapCI | None = None
-    if not undefined:
-        f_ci = bootstrap_ci(
-            np.array(fs), config.ci_level, rng=np.random.default_rng(streams[config.repeats + 1])
-        )
-    def mean_of(name: str) -> float | None:
-        return None if undefined else float(np.mean(g_lists[name]))
-
+    shots = config.mode == "shots"
     return SweepRecord(
         state_id=state_id,
         params=prep,
         point=point,
-        mode="shots",
-        shots=config.shots,
-        repeats=config.repeats,
-        kappa=kappa_ci.mean,
-        kappa_ci_lo=kappa_ci.lo,
-        kappa_ci_hi=kappa_ci.hi,
-        f=f_ci.mean if f_ci is not None else None,
-        f_ci_lo=f_ci.lo if f_ci is not None else None,
-        f_ci_hi=f_ci.hi if f_ci is not None else None,
-        g01=mean_of("g01"),
-        g12=mean_of("g12"),
-        g20=mean_of("g20"),
-        gamma_undefined=undefined,
-        seed=rec_seed,
+        mode=config.mode,
+        shots=config.shots if shots else None,
+        repeats=config.repeats if shots else None,
+        kappa=kappa,
+        kappa_ci_lo=None if kappa_ci is None else kappa_ci.lo,
+        kappa_ci_hi=None if kappa_ci is None else kappa_ci.hi,
+        f=f,
+        f_ci_lo=None if f_ci is None else f_ci.lo,
+        f_ci_hi=None if f_ci is None else f_ci.hi,
+        **gammas,
+        gamma_undefined=f is None,
+        seed=int(base.generate_state(1, dtype=np.uint32)[0]),
     )
 
 

@@ -24,9 +24,7 @@ from qbench.circuits import (
     analytic_amplitudes,
     build_preparation,
     build_projection,
-    cnot_matrix,
     joint_plan,
-    level_amplitudes,
     projection_settings,
     projection_state,
     random_preparation,
@@ -51,15 +49,6 @@ def test_u_matrix_examples():
 def test_u_matrix_is_unitary(theta, phi, lam):
     u = u_matrix(theta, phi, lam)
     assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
-
-def test_cnot_matrix_permutation():
-    cx = cnot_matrix()
-    # control is bit 0: |01> <-> |11| swap, |00> and |10> fixed
-    for src, dst in ((0, 0), (1, 3), (2, 2), (3, 1)):
-        e = np.zeros(4)
-        e[src] = 1.0
-        assert np.isclose(abs((cx @ e)[dst]), 1.0)
 
 
 def test_canonical_folds_and_rejects():
@@ -108,11 +97,6 @@ def test_analytic_amplitudes_match_brute_force_unitary():
     for _ in range(50):
         params = random_preparation(rng)
         assert np.allclose(analytic_amplitudes(params), helpers.state_of(params), atol=1e-12)
-
-
-def test_level_amplitudes_selects_working_levels():
-    params = reference_preparation()
-    assert np.allclose(level_amplitudes(params), analytic_amplitudes(params)[[0, 1, 3]])
 
 
 def test_projection_settings_states():
@@ -234,12 +218,3 @@ def test_circuit_plan_validation():
         GateInstruction(Cnot(1, 1), 300.0)
     with pytest.raises(ValueError, match="duration"):
         GateInstruction(SingleU(0, 0.1, 0.0, 0.0), 0.0)
-
-
-def test_plan_to_text_format():
-    plan = build_projection(ProjectionParams(math.pi, 0.0))
-    lines = plan.to_text().splitlines()
-    assert len(lines) == len(plan.instructions)
-    assert lines[-1] == "MEASURE 1 - 1000"
-    assert any(line.startswith("CNOT 0,1 - 300") for line in lines)
-    assert all(len(line.split()) == 4 for line in lines)

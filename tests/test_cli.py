@@ -41,21 +41,39 @@ def test_sweep_exit_codes(tmp_path):
     assert run_cli("sweep", "--config", str(unknown)) == EXIT_CONFIG
 
 
-def test_sweep_rejects_bad_values_as_configuration_errors(tmp_path):
+def test_sweep_rejects_bad_values_as_configuration_errors(tmp_path, monkeypatch, capsys):
+    # every bad value is a configuration error found before any record is computed
+    ran = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: ran.append(config) or [])
     out = tmp_path / "never.csv"
     assert run_cli("sweep", "--steps", "1", "--out", str(out)) == EXIT_CONFIG
     assert run_cli("sweep", "--state", "random", "--n-states", "-1", "--out", str(out)) == EXIT_CONFIG
     path = tmp_path / "config.json"
-    for document in (
-        {"thermal": {"deterministic": "false"}},
-        {"seed": 1.7},
-        {"steps": 2.5},
-        {"state": "random", "n_states": 1, "state_seed": 1.5},
-        {"grid": ["a"]},
-        {"threads": 1},
+    for document, named in (
+        ({"thermal": {"deterministic": "false"}}, "false"),
+        ({"seed": 1.7}, "1.7"),
+        ({"steps": 2.5}, "2.5"),
+        ({"state": "random", "n_states": 1, "state_seed": 1.5}, "1.5"),
+        ({"grid": ["a"]}, "a"),
+        ({"threads": 1}, "threads"),
+        ({"noise": "readout", "grid": [0.1, 1.5]}, "1.5"),
+        ({"noise": "depolarizing", "grid": [-0.2]}, "-0.2"),
+        ({"noise": "thermal", "grid": [-5]}, "-5"),
+        ({"noise": "thermal", "grid": [[100, 500]]}, "500"),
+        ({"thermal": []}, "thermal"),
+        ({"durations": []}, "durations"),
     ):
         path.write_text(json.dumps({"steps": 2, **document}))
+        capsys.readouterr()
         assert run_cli("sweep", "--config", str(path), "--out", str(out)) == EXIT_CONFIG, document
+        assert named in capsys.readouterr().err, document
+        # `validate --config` rejects the same file
+        assert not cli._check_config(str(path))[0], document
+    path.write_text(json.dumps({"steps": 2, "out": 5}))
+    assert run_cli("sweep", "--config", str(path)) == EXIT_CONFIG
+    assert "out=5" in capsys.readouterr().err
+    assert not cli._check_config(str(path))[0]
+    assert ran == []
     assert not out.exists()
 
 
@@ -159,8 +177,6 @@ def test_kappa_n_command(capsys, tmp_path):
     assert "n = 3" in out
     form_line = next(line for line in out.splitlines() if "programming form" in line)
     assert abs(float(form_line.split(":")[1])) < 1e-12
-    identity_line = next(line for line in out.splitlines() if "LHS - RHS" in line)
-    assert abs(float(identity_line.split(":")[1])) < 1e-12
 
     listing = tmp_path / "amps.txt"
     listing.write_text("# two amplitudes\n1,2\n-0.5\n")
@@ -172,7 +188,7 @@ def test_kappa_n_command(capsys, tmp_path):
     assert run_cli("kappa-n", "--file", str(tmp_path / "absent.txt")) == EXIT_CONFIG
 
 
-def test_validate_command(capsys, tmp_path):
+def test_validate_command(capsys, tmp_path, monkeypatch):
     assert run_cli("validate", "--seed", "1") == EXIT_OK
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line]
@@ -189,6 +205,15 @@ def test_validate_command(capsys, tmp_path):
     broken.write_text(json.dumps({"noise": "thermal", "t2_ratio": 9.0}))
     assert run_cli("validate", "--seed", "1", "--config", str(broken)) != EXIT_OK
     assert "FAIL config" in capsys.readouterr().out
+
+    # a negative seed is a configuration error, as it is for sweep, found before any check runs
+    assert run_cli("validate", "--seed", "-1") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "-1" in captured.err and captured.out == ""
+    monkeypatch.setenv(SEED_ENV_VAR, "-3")
+    assert run_cli("validate") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{SEED_ENV_VAR}=-3" in captured.err and captured.out == ""
 
 
 def test_plot_command(tmp_path, capsys):

@@ -15,7 +15,6 @@ from qbench.metrics import (
     gamma,
     gammas_from_probabilities,
     kappa_n,
-    kappa_n_defect,
     peres_f,
     sorkin_kappa,
 )
@@ -167,44 +166,3 @@ def test_kappa_n_matches_term_by_term_reference():
         n = int(rng.integers(1, 9))
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert kappa_n(x) == pytest.approx(helpers.kappa_n_ref(x), abs=1e-12)
-
-
-def test_kappa_n_defect_from_measured_probabilities():
-    # three-path case reduces to the joint-test kappa formula
-    pp = {
-        (0, 1, 2): 0.5,
-        (0, 1): 0.3, (0, 2): 0.1, (1, 2): 0.2,
-        (0,): 0.3, (1,): 0.2, (2,): 0.1,
-    }
-    expected = 3.0 * 0.5 - 2.0 * (0.3 + 0.1 + 0.2) + (0.3 + 0.2 + 0.1)
-    assert math.isclose(kappa_n_defect(pp, 3), expected)
-
-
-def test_kappa_n_defect_vanishes_on_born_rule_inputs():
-    rng = np.random.default_rng(77)
-    for n in range(1, 7):
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x /= math.sqrt(float((np.abs(x) ** 2).sum())) * math.sqrt(float(n))
-        probs = {}
-        probs[tuple(range(n))] = float(abs(x.sum()) ** 2 / n)
-        for i in range(n):
-            probs[(i,)] = float(abs(x[i]) ** 2)
-            for j in range(i + 1, n):
-                probs[(i, j)] = float(abs(x[i] + x[j]) ** 2 / 2.0)
-        assert abs(kappa_n_defect(probs, n)) < 1e-12
-
-
-def test_kappa_n_defect_rejects_missing_subsets():
-    # complete up to the (1, 2) pair, which lookup must flag by name
-    probs = {
-        (0, 1, 2): 0.5,
-        (0, 1): 0.3,
-        (0, 2): 0.3,
-        (0,): 0.3,
-        (1,): 0.3,
-        (2,): 0.3,
-    }
-    with pytest.raises(ValueError, match=r"missing.*\(1, 2\)"):
-        kappa_n_defect(probs, 3)
-    with pytest.raises(ValueError, match="at least 1"):
-        kappa_n_defect({}, 0)

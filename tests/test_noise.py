@@ -25,7 +25,6 @@ from qbench.noise import (
     apply_readout,
     depolarize,
     evolve_density,
-    noise_model_from_config,
     sample_relaxation_times,
     simulate_noisy,
     thermal_relax,
@@ -205,6 +204,9 @@ def test_thermal_relaxation_config_validation():
         ThermalRelaxation(t1_mean_ns=0.0, t2_mean_ns=100.0)
     with pytest.raises(ValueError, match="sigma_fraction"):
         ThermalRelaxation(t1_mean_ns=100.0, t2_mean_ns=100.0, sigma_fraction=2.0)
+    # 0 == False, but only a real boolean is accepted as the flag
+    with pytest.raises(ValueError, match="boolean"):
+        ThermalRelaxation(5e4, 7e4, deterministic=0)
 
 
 def test_sample_relaxation_times_deterministic_and_sampled():
@@ -236,38 +238,6 @@ def test_noise_model_flags():
     assert sampled.needs_rng()
 
 
-def test_noise_model_from_config():
-    model = noise_model_from_config(
-        {
-            "readout": {"p": 0.05},
-            "depolarizing": {"p1": 0.001, "p2": 0.01},
-            "thermal": {"t1_ns": 5e4, "t2_ns": 7e4, "deterministic": False},
-        }
-    )
-    assert model.readout.n_qubits == 2
-    assert model.depolarizing == DepolarizingError(p1=0.001, p2=0.01)
-    assert model.thermal.t2_mean_ns == 7e4
-    assert model.needs_rng()
-
-    explicit = noise_model_from_config({"readout": {"matrix": [[0.9, 0.1], [0.2, 0.8]]}})
-    assert np.allclose(explicit.readout.matrices[0], [[0.9, 0.1], [0.2, 0.8]])
-
-    with pytest.raises(ValueError, match="unknown noise config"):
-        noise_model_from_config({"dephasing": {}})
-    with pytest.raises(ValueError, match="needs"):
-        noise_model_from_config({"readout": {}})
-    with pytest.raises(ValueError, match="t1_ns"):
-        noise_model_from_config({"thermal": {"t2_ns": 100.0}})
-
-
-def test_noise_model_from_config_rejects_non_boolean_deterministic():
-    # bool("false") is True, so a string must not be read as a flag
-    with pytest.raises(ValueError, match="boolean"):
-        noise_model_from_config({"thermal": {"t1_ns": 5e4, "t2_ns": 7e4, "deterministic": "false"}})
-    with pytest.raises(ValueError, match="boolean"):
-        ThermalRelaxation(5e4, 7e4, deterministic=0)
-
-
 def test_evolve_density_gates_act_on_the_named_qubits():
     # qubit q is bit q of the basis index: X on qubit 1 of |00> gives |10>
     # (index 2), and a CNOT controlled by qubit 1 then reaches |11> (index 3)
@@ -297,11 +267,9 @@ def test_evolve_density_requires_rng_only_when_sampling():
 
 
 def test_evolve_density_outputs_remain_valid_under_heavy_noise():
-    model = noise_model_from_config(
-        {
-            "depolarizing": {"p1": 0.05, "p2": 0.2},
-            "thermal": {"t1_ns": 500.0, "t2_ns": 800.0},
-        }
+    model = NoiseModel(
+        depolarizing=DepolarizingError(p1=0.05, p2=0.2),
+        thermal=ThermalRelaxation(t1_mean_ns=500.0, t2_mean_ns=800.0),
     )
     rng = np.random.default_rng(14)
     for _ in range(5):

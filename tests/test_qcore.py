@@ -14,11 +14,9 @@ from qbench.qcore import (
     reset_qubit,
     validate_density_matrix,
     validate_statevector,
-    validate_unitary,
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def test_n_qubits_of_powers_of_two():
@@ -68,12 +66,6 @@ def test_validate_density_matrix_rejects_defects():
         validate_density_matrix(neg)
     with pytest.raises(ValueError, match="square"):
         validate_density_matrix(np.zeros((2, 3)))
-
-
-def test_validate_unitary():
-    assert validate_unitary(H) is not None
-    with pytest.raises(ValueError, match="not unitary"):
-        validate_unitary(2.0 * H)
 
 
 def test_apply_unitary_conjugates():
