@@ -105,24 +105,20 @@ class GateInstruction:
 
 @dataclass(frozen=True)
 class CircuitPlan:
-    """Ordered instruction list on a fixed register.
+    """Ordered instruction list on the two-qubit register.
 
     Measure instructions may appear only as the trailing block, so a
     plan is always "unitaries and resets, then measurements".
     """
 
-    n_qubits: int
     instructions: tuple[GateInstruction, ...]
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits={self.n_qubits} must be at least 1")
         seen_measure = False
         for instr in self.instructions:
             kind = instr.kind
-            qubits = instruction_qubits(kind)
-            if any(q < 0 or q >= self.n_qubits for q in qubits):
-                raise ValueError(f"{kind} addresses qubits outside 0..{self.n_qubits - 1}")
+            if any(q not in (0, 1) for q in instruction_qubits(kind)):
+                raise ValueError(f"{kind} addresses qubits outside 0..1")
             if isinstance(kind, Measure):
                 seen_measure = True
             elif seen_measure:
@@ -300,7 +296,7 @@ def build_preparation(
     ]
     instructions += _controlled_ry(p.theta2, durations)
     instructions += _controlled_phase(p.phi2, durations)
-    return CircuitPlan(2, tuple(instructions))
+    return CircuitPlan(tuple(instructions))
 
 
 def _inverted(instr: GateInstruction) -> GateInstruction:
@@ -329,7 +325,7 @@ def build_projection(
     instructions = [_inverted(i) for i in reversed(gates)]
     instructions.append(GateInstruction(Measure(0), durations.measure_ns))
     instructions.append(GateInstruction(Measure(1), durations.measure_ns))
-    return CircuitPlan(2, tuple(instructions))
+    return CircuitPlan(tuple(instructions))
 
 
 def joint_plan(
@@ -340,7 +336,7 @@ def joint_plan(
     """Full test circuit: preparation followed by a projection."""
     a = build_preparation(prep, durations)
     b = build_projection(proj, durations)
-    return CircuitPlan(2, a.instructions + b.instructions)
+    return CircuitPlan(a.instructions + b.instructions)
 
 
 def analytic_amplitudes(params: PreparationParams) -> np.ndarray:

@@ -123,18 +123,6 @@ def sorkin_kappa(pp: ProjectionProbabilities) -> SorkinResult:
     return SorkinResult(kappa=kappa)
 
 
-def gammas_from_probabilities(pp: ProjectionProbabilities) -> dict[str, float]:
-    """All three pairwise contrasts; raises GammaUndefined naming the first
-    pair whose marginals vanish."""
-    out: dict[str, float] = {}
-    for name, pair_field, i_field, j_field in PAIR_FIELDS:
-        try:
-            out[name] = gamma(getattr(pp, pair_field), getattr(pp, i_field), getattr(pp, j_field))
-        except GammaUndefined as exc:
-            raise GammaUndefined(f"{name}: {exc}") from None
-    return out
-
-
 def kappa_n(amplitudes: Sequence[complex]) -> float:
     """n-path interference defect of a complex amplitude list:
 

@@ -13,6 +13,10 @@ Three channel families act on the circuits:
 Gate noise attaches only to the qubits an instruction touches; idle
 qubits do not decohere.  T1/T2 may be Gaussian-sampled per qubit around
 their means, or held at the means in deterministic mode.
+
+The circuits run on the two-qubit register; the public channel functions
+also take one-qubit states.  Every channel is a constant map of ``qcore``
+or a weighted sum of them, acting on the row-major vec of rho.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qcore
-from .circuits import CircuitPlan, Cnot, Measure, Reset, SingleU, u_matrix
+from .circuits import CircuitPlan, Cnot, Reset, SingleU, instruction_qubits, u_matrix
 from .qcore import COMPLEX
 
 ROW_SUM_ATOL = 1e-12
@@ -126,7 +130,9 @@ class NoiseModel:
         return cls()
 
     def needs_rng(self) -> bool:
-        return self.thermal is not None and not self.thermal.deterministic
+        """True when T1/T2 are drawn, which is the only time evolution draws from an rng."""
+        thermal = self.thermal
+        return thermal is not None and not thermal.deterministic and thermal.sigma_fraction > 0.0
 
 
 def apply_readout(probs: np.ndarray, readout: ReadoutError) -> np.ndarray:
@@ -146,9 +152,8 @@ def apply_readout(probs: np.ndarray, readout: ReadoutError) -> np.ndarray:
 def depolarize(rho: np.ndarray, p: float, qubits: Sequence[int]) -> np.ndarray:
     """rho -> (1-p) rho + p * (qubits replaced by the maximally mixed state).
 
-    Each listed qubit in turn is traced out and re-tensored as I/2 in its
-    own place; touching the whole register reduces to
-    (1-p) rho + p * I / 2^n.
+    The mixer of each listed qubit is applied in turn; touching the whole
+    register reduces to (1-p) rho + p * I / 2^n.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"depolarizing strength {p} outside [0, 1]")
@@ -160,17 +165,15 @@ def depolarize(rho: np.ndarray, p: float, qubits: Sequence[int]) -> np.ndarray:
         raise ValueError(f"invalid qubit set {list(qubits)} for {n} qubits")
     if p == 0.0:
         return rho.copy()
-    dim = rho.shape[0]
-    mixed = rho
+    return _depolarized(rho.reshape(-1), p, qubits, qcore.MIX[n]).reshape(rho.shape)
+
+
+def _depolarized(v: np.ndarray, p: float, qubits: Sequence[int], mix: Sequence[np.ndarray]) -> np.ndarray:
+    """(1-p) v + p MIX v on vec(rho), MIX the product of the listed qubits' mixers."""
+    mixed = v
     for q in qubits:
-        # axes (high qubits, qubit q, low qubits) of the row and column index
-        blocks = mixed.reshape(dim >> (q + 1), 2, 1 << q, dim >> (q + 1), 2, 1 << q)
-        half_trace = 0.5 * (blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1])
-        retensored = np.zeros_like(blocks)
-        retensored[:, 0, :, :, 0] = half_trace
-        retensored[:, 1, :, :, 1] = half_trace
-        mixed = retensored.reshape(dim, dim)
-    return (1.0 - p) * rho + p * mixed
+        mixed = mix[q] @ mixed
+    return (1.0 - p) * v + p * mixed
 
 
 def thermal_relax(
@@ -182,8 +185,7 @@ def thermal_relax(
     |0>.  Coherences on that qubit keep e^{-t/T2}.  Requires T2 <= 2*T1.
     """
     rho = np.asarray(rho, dtype=COMPLEX)
-    dim = rho.shape[0]
-    n = qcore.n_qubits_of(dim)
+    n = qcore.n_qubits_of(rho.shape[0])
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if not (math.isfinite(duration_ns) and duration_ns >= 0):
@@ -194,17 +196,16 @@ def thermal_relax(
         raise ValueError(
             f"T2={t2_ns} violates complete positivity: must not exceed 2*T1={2.0 * t1_ns}"
         )
-    f1 = math.exp(-duration_ns / t1_ns)
-    f2 = math.exp(-duration_ns / t2_ns)
-    idx = np.arange(dim)
-    i0 = idx[(idx >> qubit) & 1 == 0]
-    i1 = i0 | (1 << qubit)
-    out = rho.copy()
-    out[np.ix_(i0, i0)] += (1.0 - f1) * rho[np.ix_(i1, i1)]
-    out[np.ix_(i1, i1)] *= f1
-    out[np.ix_(i0, i1)] *= f2
-    out[np.ix_(i1, i0)] *= f2
-    return out
+    return (_relaxation(n, qubit, duration_ns, t1_ns, t2_ns) @ rho.reshape(-1)).reshape(rho.shape)
+
+
+def _relaxation(n: int, qubit: int, duration_ns: float, t1_ns: float, t2_ns: float) -> np.ndarray:
+    """Relaxation map of one qubit of an n-qubit register: POP + e^{-d/T1} DECAY + e^{-d/T2} COH."""
+    return (
+        qcore.POP[n][qubit]
+        + math.exp(-duration_ns / t1_ns) * qcore.DECAY[n][qubit]
+        + math.exp(-duration_ns / t2_ns) * qcore.COH[n][qubit]
+    )
 
 
 def sample_relaxation_times(
@@ -235,60 +236,41 @@ def sample_relaxation_times(
 def evolve_density(
     plan: CircuitPlan, model: NoiseModel, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Run a plan from |0...0><0...0| and return the pre-readout density matrix.
+    """Run a plan from |00><00| and return the pre-readout density matrix.
 
     After every single-qubit gate: depolarize(p1) on its qubit, then
     thermal relaxation for the gate duration.  After every CNOT:
     depolarize(p2) on both qubits, then thermal relaxation on both.
     Reset and Measure contribute only thermal relaxation for their
-    durations.  Readout confusion is not applied here.
+    durations.  Readout confusion is not applied here.  Only a model with
+    sampled T1/T2 needs an rng.
     """
     if model.needs_rng() and rng is None:
         raise ValueError("thermal sampling requires an rng; pass one or use deterministic mode")
-    n = plan.n_qubits
-    dim = 1 << n
-    idx = np.arange(dim)
-    rho = np.zeros((dim, dim), dtype=COMPLEX)
-    rho[0, 0] = 1.0
-
-    times: tuple[tuple[float, float], ...] = ()
-    if model.thermal is not None:
-        sampler = rng if rng is not None else np.random.default_rng()
-        times = tuple(sample_relaxation_times(sampler, model.thermal) for _ in range(n))
-
-    def relax(q: int, duration: float) -> None:
-        nonlocal rho
-        if model.thermal is not None:
-            t1, t2 = times[q]
-            rho = thermal_relax(rho, q, duration, t1, t2)
-
-    depol = model.depolarizing
+    thermal = model.thermal
+    times = [sample_relaxation_times(rng, thermal) for _ in range(2)] if thermal is not None else []
+    depol = model.depolarizing if model.depolarizing is not None else DepolarizingError()
+    v = np.zeros(16, dtype=COMPLEX)  # vec(|00><00|)
+    v[0] = 1.0
     for instr in plan.instructions:
         kind = instr.kind
+        p = 0.0
         if isinstance(kind, SingleU):
-            # qubit q is bit q of the index: 2^(n-1-q) identities above it, 2^q below
-            u = u_matrix(kind.theta, kind.phi, kind.lam)
-            u = np.kron(np.kron(np.eye(dim >> (kind.qubit + 1)), u), np.eye(1 << kind.qubit))
-            rho = qcore.apply_unitary(rho, u)
-            if depol is not None and depol.p1 > 0.0:
-                rho = depolarize(rho, depol.p1, [kind.qubit])
-            relax(kind.qubit, instr.duration_ns)
+            u = qcore.lift(u_matrix(kind.theta, kind.phi, kind.lam), kind.qubit)
+            v = (u @ v.reshape(4, 4) @ u.conj().T).reshape(16)
+            p = depol.p1
         elif isinstance(kind, Cnot):
-            # a basis permutation that is its own inverse: flip the target where the control is 1
-            perm = idx ^ (((idx >> kind.control) & 1) << kind.target)
-            rho = rho[np.ix_(perm, perm)]
-            if depol is not None and depol.p2 > 0.0:
-                rho = depolarize(rho, depol.p2, [kind.control, kind.target])
-            relax(kind.control, instr.duration_ns)
-            relax(kind.target, instr.duration_ns)
+            v = qcore.CNOT[kind.control, kind.target] @ v
+            p = depol.p2
         elif isinstance(kind, Reset):
-            rho = qcore.reset_qubit(rho, kind.qubit)
-            relax(kind.qubit, instr.duration_ns)
-        elif isinstance(kind, Measure):
-            relax(kind.qubit, instr.duration_ns)
-        else:
-            raise ValueError(f"unknown instruction kind {kind!r}")
-    return rho
+            v = qcore.RESET[2][kind.qubit] @ v
+        qubits = instruction_qubits(kind)
+        if p > 0.0:
+            v = _depolarized(v, p, qubits, qcore.MIX[2])
+        if times:
+            for q in qubits:
+                v = _relaxation(2, q, instr.duration_ns, *times[q]) @ v
+    return v.reshape(4, 4)
 
 
 def simulate_noisy(
@@ -300,12 +282,7 @@ def simulate_noisy(
     basis probabilities and finally mixes them through the readout
     confusion if the model has one.
     """
-    rho = evolve_density(plan, model, rng)
-    probs = qcore.basis_probabilities(rho)
+    probs = qcore.basis_probabilities(evolve_density(plan, model, rng))
     if model.readout is not None:
-        if model.readout.n_qubits != plan.n_qubits:
-            raise ValueError(
-                f"readout is {model.readout.n_qubits}-qubit but plan has {plan.n_qubits}"
-            )
         probs = apply_readout(probs, model.readout)
     return probs

@@ -211,9 +211,9 @@ def test_circuit_plan_validation():
     measure = GateInstruction(Measure(0), 1000.0)
     gate = GateInstruction(SingleU(0, 0.1, 0.0, 0.0), 100.0)
     with pytest.raises(ValueError, match="after a measure"):
-        CircuitPlan(2, (measure, gate))
+        CircuitPlan((measure, gate))
     with pytest.raises(ValueError, match="outside"):
-        CircuitPlan(1, (GateInstruction(Cnot(0, 1), 300.0),))
+        CircuitPlan((GateInstruction(Cnot(0, 2), 300.0),))
     with pytest.raises(ValueError, match="must differ"):
         GateInstruction(Cnot(1, 1), 300.0)
     with pytest.raises(ValueError, match="duration"):

@@ -13,7 +13,6 @@ from qbench.metrics import (
     GammaUndefined,
     ProjectionProbabilities,
     gamma,
-    gammas_from_probabilities,
     kappa_n,
     peres_f,
     sorkin_kappa,
@@ -122,19 +121,13 @@ def test_reference_state_ideal_metrics():
     # equal moduli with phases 0, pi/4, pi/2
     pp = ideal_probabilities(1.0, np.exp(0.25j * math.pi), np.exp(0.5j * math.pi))
     assert math.isclose(pp.p012, (3.0 + 2.0 * math.sqrt(2.0)) / 9.0)
-    gs = gammas_from_probabilities(pp)
-    assert math.isclose(gs["g01"], math.cos(math.pi / 4.0), abs_tol=1e-12)
-    assert math.isclose(gs["g12"], math.cos(math.pi / 4.0), abs_tol=1e-12)
-    assert math.isclose(gs["g20"], math.cos(math.pi / 2.0), abs_tol=1e-12)
-    f = peres_f(GammaSet(gs["g01"], gs["g12"], gs["g20"])).f
+    gs = GammaSet(gamma(pp.p01, pp.p0, pp.p1), gamma(pp.p12, pp.p1, pp.p2), gamma(pp.p20, pp.p2, pp.p0))
+    assert math.isclose(gs.g01, math.cos(math.pi / 4.0), abs_tol=1e-12)
+    assert math.isclose(gs.g12, math.cos(math.pi / 4.0), abs_tol=1e-12)
+    assert math.isclose(gs.g20, math.cos(math.pi / 2.0), abs_tol=1e-12)
+    f = peres_f(gs).f
     assert math.isclose(f, 1.0, abs_tol=1e-12)
     assert abs(sorkin_kappa(pp).kappa) < 1e-15
-
-
-def test_gammas_from_probabilities_names_failing_pair():
-    pp = ProjectionProbabilities(0.25, 0.25, 0.25, 0.25, 0.25, 0.0, 0.25)
-    with pytest.raises(GammaUndefined, match="g01"):
-        gammas_from_probabilities(pp)
 
 
 def test_projection_probabilities_rejects_bad_values():

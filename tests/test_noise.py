@@ -29,6 +29,7 @@ from qbench.noise import (
     simulate_noisy,
     thermal_relax,
 )
+from qbench import qcore
 from qbench.qcore import dm_from_statevector, random_density_matrix, validate_density_matrix
 
 
@@ -196,6 +197,59 @@ def test_thermal_relax_validation():
     assert np.allclose(thermal_relax(rho, 0, 0.0, 100.0, 100.0), rho)
 
 
+def choi(superop: np.ndarray) -> np.ndarray:
+    """sum_ij |i><j| (x) Phi(|i><j|) of a map given on the row-major vec of rho."""
+    d = math.isqrt(superop.shape[0])
+    return superop.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def superop_of(channel, n_qubits: int) -> np.ndarray:
+    """The map rho -> channel(rho) on vec(rho), column k being vec(channel(E_k))."""
+    basis = np.eye(4**n_qubits, dtype=complex).reshape(-1, 2**n_qubits, 2**n_qubits)
+    return np.stack([channel(e).reshape(-1) for e in basis], axis=1)
+
+
+def test_channel_maps_are_completely_positive_and_trace_preserving():
+    # Positivity on sampled states (criterion 8) does not prove complete
+    # positivity; a positive semidefinite Choi matrix does, and a Choi matrix
+    # whose output partial trace is I makes the map trace preserving.
+    maps = [qcore.CNOT[0, 1], qcore.CNOT[1, 0]]
+    for n in (1, 2):
+        for q in range(n):
+            maps += [qcore.MIX[n][q], qcore.RESET[n][q]]
+            # criterion 8's ranges, with T2 = 2 T1 (the boundary of complete positivity) on the grid
+            for t1 in np.logspace(0.0, 5.0, 6):
+                for ratio in (0.05, 0.5, 1.0, 1.5, 2.0):
+                    for d in np.logspace(0.0, 4.0, 5):
+                        relax = lambda rho: thermal_relax(rho, q, d, t1, ratio * t1)
+                        maps.append(superop_of(relax, n))
+        subsets = ([0],) if n == 1 else ([0], [1], [0, 1])
+        for qubits in subsets:
+            for p in np.linspace(0.0, 1.0, 11):
+                maps.append(superop_of(lambda rho: depolarize(rho, p, qubits), n))
+    for superop in maps:
+        d = math.isqrt(superop.shape[0])
+        j = choi(superop)
+        assert np.linalg.eigvalsh(j).min() >= -1e-12
+        partial = j.reshape(d, d, d, d).trace(axis1=1, axis2=3)
+        assert np.abs(partial - np.eye(d)).max() <= 1e-12
+
+
+def test_two_qubit_maps_act_on_their_own_qubit():
+    # the map of qubit q on the register is the one-qubit map on q, tensored
+    # with the identity on the other qubit (qubit 0 is the right-hand factor)
+    rng = np.random.default_rng(4)
+    for table in (qcore.MIX, qcore.RESET, qcore.POP, qcore.DECAY, qcore.COH):
+        one = table[1][0]
+        for _ in range(3):
+            a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+            fa = (one @ a.reshape(-1)).reshape(2, 2)
+            on_q0 = (table[2][0] @ np.kron(b, a).reshape(-1)).reshape(4, 4)
+            on_q1 = (table[2][1] @ np.kron(a, b).reshape(-1)).reshape(4, 4)
+            assert np.allclose(on_q0, np.kron(b, fa), atol=1e-12)
+            assert np.allclose(on_q1, np.kron(fa, b), atol=1e-12)
+
+
 def test_thermal_relaxation_config_validation():
     ThermalRelaxation(t1_mean_ns=100.0, t2_mean_ns=200.0)
     with pytest.raises(ValueError, match="complete positivity"):
@@ -242,11 +296,11 @@ def test_evolve_density_gates_act_on_the_named_qubits():
     # qubit q is bit q of the basis index: X on qubit 1 of |00> gives |10>
     # (index 2), and a CNOT controlled by qubit 1 then reaches |11> (index 3)
     x1 = GateInstruction(SingleU(qubit=1, theta=math.pi, phi=0.0, lam=math.pi), 100.0)
-    for n, cnot, final in ((2, Cnot(control=1, target=0), 3), (3, Cnot(control=1, target=2), 6)):
-        after_x = evolve_density(CircuitPlan(n, (x1,)), NoiseModel.ideal())
-        assert np.isclose(after_x[2, 2].real, 1.0)
-        after_cnot = evolve_density(CircuitPlan(n, (x1, GateInstruction(cnot, 300.0))), NoiseModel.ideal())
-        assert np.isclose(after_cnot[final, final].real, 1.0)
+    after_x = evolve_density(CircuitPlan((x1,)), NoiseModel.ideal())
+    assert np.isclose(after_x[2, 2].real, 1.0)
+    cnot = GateInstruction(Cnot(control=1, target=0), 300.0)
+    after_cnot = evolve_density(CircuitPlan((x1, cnot)), NoiseModel.ideal())
+    assert np.isclose(after_cnot[3, 3].real, 1.0)
 
 
 def test_evolve_density_ideal_matches_analytic_state():

@@ -1,5 +1,6 @@
 """Joint-test driver, sweep grids, determinism and threshold search."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,12 @@ import helpers
 from qbench.circuits import (
     GateDurations,
     PreparationParams,
+    build_preparation,
     random_preparation,
     reference_preparation,
 )
 from qbench import metrics, stats, sweep
-from qbench.metrics import GammaUndefined, gammas_from_probabilities
-from qbench.noise import DepolarizingError, NoiseModel, ReadoutError, ThermalRelaxation
+from qbench.noise import DepolarizingError, NoiseModel, ReadoutError, ThermalRelaxation, evolve_density
 from qbench.stats import bootstrap_ci
 from qbench.sweep import (
     NoisePoint,
@@ -299,6 +300,18 @@ def test_sampled_thermal_shot_record_replays_and_differs_from_deterministic():
         assert a.kappa != b.kappa and a.f != b.f
 
 
+def test_zero_sigma_thermal_draws_nothing():
+    # sigma_fraction = 0 samples no T1/T2, so it needs no rng and its shot
+    # records are the deterministic sweep's
+    point = NoisePoint("thermal", t1_ns=2e3, t2_ns=4e3)
+    zero_sigma = dataclasses.replace(shot_config((point,), deterministic_thermal=False), sigma_fraction=0.0)
+    model = noise_model_for_point(point, zero_sigma)
+    assert not model.needs_rng()
+    rho = evolve_density(build_preparation(reference_preparation()), model)
+    assert np.isclose(np.trace(rho).real, 1.0)
+    assert run_sweep(zero_sigma) == run_sweep(shot_config((point,)))
+
+
 def test_readout_threshold_equals_full_pipeline_scan():
     # reusing the ideal distributions must not move a single bit of F
     def full_scan(prep):
@@ -330,8 +343,9 @@ def test_gamma_pairs_follow_the_metrics_table():
     assert stats.PAIR_FIELDS is metrics.PAIR_FIELDS
     model = NoiseModel(readout=ReadoutError.symmetric(0.1, 2))
     result = run_joint_test(random_preparation(np.random.default_rng(8)), model)
-    expected = gammas_from_probabilities(result.probabilities)
-    assert {name: getattr(result, name) for name in expected} == expected
+    pp = result.probabilities
+    for name, pair, i, j in metrics.PAIR_FIELDS:
+        assert getattr(result, name) == metrics.gamma(getattr(pp, pair), getattr(pp, i), getattr(pp, j))
     estimate = stats.error_estimate(result.probabilities, 1000)
     assert list(estimate.delta_gamma) == [name for name, *_ in metrics.PAIR_FIELDS]
 
